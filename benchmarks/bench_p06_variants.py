@@ -40,7 +40,7 @@ from repro.codegen.pygen import compile_procedure
 from repro.experiments.report import Table
 from repro.parallel import run_parallel_doall
 from repro.parallel.observe import DISPATCH
-from repro.parallel.runtime import _DispatchCaches
+from repro.parallel.runtime import DispatchPlan
 from repro.transforms import coalesce_procedure
 from repro.tuning import reset_tuning_memo, variant_grid
 from repro.workloads import get_workload, make_env
@@ -78,7 +78,7 @@ def _throughput_grid(cases) -> dict:
         proc, arrays, sc, _ = _prepare(name, scalars)
         loop = proc.body.stmts[0]
         per_iter = variant_grid(
-            proc, loop, sc, arrays, _DispatchCaches(), budget=GRID_BUDGET_S
+            proc, loop, sc, arrays, DispatchPlan(proc), budget=GRID_BUDGET_S
         )
         grid[name] = {
             v: round(s, 9) for v, s in sorted(per_iter.items())

@@ -24,6 +24,10 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from repro.ir.expr import ArrayRef, BinOp, Call, Const, Expr, Unary, Var
 from repro.ir.stmt import Assign, Block, If, Loop, Procedure, Stmt
 from repro.ir.validate import validate
@@ -136,33 +140,37 @@ def _declaration_sites(proc: Procedure) -> dict[int, list[str]]:
 
     Each assigned scalar is declared in the innermost loop body containing
     *all* its references (assignments and reads); scalars not enclosed by
-    any loop are declared at function scope (key: id(proc.body)).
+    any loop are declared at function scope (key: id(proc.body)).  A
+    mention inside a loop that binds the same name refers to that loop's
+    own variable (declared by its ``for``), so it does not count: a name
+    that is a loop variable in one nest and an assigned scalar in another
+    (the index a coalesced loop recovers) is declared where it is
+    assigned.
     """
     mentions: dict[str, list[tuple[int, ...]]] = {}
 
-    def visit(s: Stmt, path: tuple[int, ...]) -> None:
+    def visit(s: Stmt, path: tuple[int, ...], bound: frozenset[str]) -> None:
         if isinstance(s, Block):
             for child in s.stmts:
-                visit(child, path)
+                visit(child, path, bound)
             return
         if isinstance(s, Loop):
-            visit(s.body, path + (id(s.body),))
+            visit(s.body, path + (id(s.body),), bound | {s.var})
             return
         if isinstance(s, If):
-            visit(s.then, path)
-            visit(s.orelse, path)
+            visit(s.then, path, bound)
+            visit(s.orelse, path, bound)
         names = set()
         for e in walk_exprs(s):
             if isinstance(e, Var):
                 names.add(e.name)
         if isinstance(s, Assign) and isinstance(s.target, Var):
             names.add(s.target.name)
-        for name in names:
+        for name in names - bound:
             mentions.setdefault(name, []).append(path)
 
-    visit(proc.body, (id(proc.body),))
+    visit(proc.body, (id(proc.body),), frozenset())
 
-    loop_vars = {lp.var for lp in walk_stmts(proc) if isinstance(lp, Loop)}
     assigned = {
         s.target.name
         for s in walk_stmts(proc)
@@ -170,7 +178,7 @@ def _declaration_sites(proc: Procedure) -> dict[int, list[str]]:
     }
 
     sites: dict[int, list[str]] = {}
-    for name in sorted(assigned - set(proc.scalars) - loop_vars):
+    for name in sorted(assigned - set(proc.scalars)):
         paths = mentions.get(name, [])
         if not paths:
             continue
@@ -221,6 +229,10 @@ class _CEmitter:
         if isinstance(e, Const):
             if isinstance(e.value, int):
                 return f"{e.value}L" if e.value >= 0 else f"({e.value}L)"
+            if math.isnan(e.value):
+                return "NAN"
+            if math.isinf(e.value):
+                return "INFINITY" if e.value > 0 else "(-INFINITY)"
             return repr(e.value)
         if isinstance(e, Var):
             return e.name
@@ -384,6 +396,15 @@ from repro.analysis.recovery import (  # noqa: E402
     recovery_prefix as _recovery_prefix,
     verified_rectangular_recovery as _verified_rectangular_recovery,
 )
+
+
+def scalar_c_types(names, values) -> tuple[str, ...]:
+    """The C type (``"double"`` or ``"long"``) each named scalar takes for
+    its live value in ``values`` — part of every chunk-kernel key."""
+    return tuple(
+        "double" if isinstance(values[n], (float, np.floating)) else "long"
+        for n in names
+    )
 
 
 def generate_chunk_c(

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.analysis.recovery import recovery_prefix, verified_rectangular_recovery
 from repro.ir.expr import ArrayRef, BinOp, Call, Const, Expr, Unary, Var
+from repro.ir.printer import const_to_source
 from repro.ir.stmt import Assign, Block, If, Loop, Procedure, Stmt
 from repro.ir.visitor import walk_exprs, walk_stmts
 
@@ -204,7 +205,7 @@ class _NpEmitter:
 
     def emit(self, e: Expr) -> str:
         if isinstance(e, Const):
-            return repr(e.value)
+            return const_to_source(e.value)
         if isinstance(e, Var):
             return e.name
         if isinstance(e, ArrayRef):

@@ -10,6 +10,8 @@ Two dialects are supported:
 
 from __future__ import annotations
 
+import math
+
 from repro.ir.expr import ArrayRef, BinOp, Call, Const, Expr, Unary, Var
 from repro.ir.stmt import Assign, Block, If, Loop, Procedure, Stmt
 
@@ -41,10 +43,18 @@ _LOOP_OP_TOKEN = {
 }
 
 
+def const_to_source(value: int | float) -> str:
+    """A constant as Python source: non-finite floats have no literal, so
+    they are spelled ``float("inf")``, ``float("-inf")``, ``float("nan")``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f'float("{value}")'
+    return repr(value)
+
+
 def expr_to_source(e: Expr, dialect: str = "loop", _parent_prec: int = 0) -> str:
     """Render one expression."""
     if isinstance(e, Const):
-        return repr(e.value)
+        return const_to_source(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, ArrayRef):

@@ -20,7 +20,9 @@ flat iterations from a shared fetch&add counter over numpy arrays backed by
 * :mod:`repro.parallel.runtime` — drivers: :func:`run_parallel_doall` for a
   single coalesced loop, :func:`run_parallel_procedure` for whole programs
   (serial segments run in the parent, DOALLs — top-level or nested under
-  serial control — are dispatched).
+  serial control — are dispatched); both build and execute a
+  :class:`DispatchPlan`, which long-lived callers keep (:class:`PlanCache`)
+  so warm runs skip every static step.
 * :mod:`repro.parallel.observe` — measured claim logs rendered as
   :class:`repro.machine.trace.SimResult` / Gantt charts, so real schedules
   can be plotted against simulator predictions.
@@ -44,8 +46,10 @@ from repro.parallel.observe import to_sim_result
 from repro.parallel.pool import WorkerPool
 from repro.parallel.runtime import (
     ClaimEvent,
+    DispatchPlan,
     ParallelProcedureResult,
     ParallelRunResult,
+    PlanCache,
     resolve_safety,
     run_parallel_doall,
     run_parallel_procedure,
@@ -61,12 +65,14 @@ from repro.parallel.speculate import (
 
 __all__ = [
     "ClaimEvent",
+    "DispatchPlan",
     "MPCompiledProcedure",
     "ParallelDispatchError",
     "ParallelError",
     "ParallelProcedureResult",
     "ParallelRunResult",
     "ParallelTimeoutError",
+    "PlanCache",
     "SafetyVerificationError",
     "SharedArrayPool",
     "SharedClaimCounter",

@@ -39,6 +39,7 @@ from repro.parallel.runtime import (
     ParallelDispatchError,
     ParallelProcedureResult,
     ParallelTimeoutError,
+    PlanCache,
     _dispatchable_loops,
     run_parallel_procedure,
 )
@@ -74,6 +75,11 @@ class MPCompiledProcedure:
     falls back when every dispatch is beyond dynamic help
     (``last.inspected`` / ``speculated`` / ``committed`` /
     ``rolled_back`` account for what happened).
+
+    The static work of a run — validation, verification, chunk codegen,
+    kernel resolution, tuning lookups — is done once: the object keeps a
+    :class:`repro.parallel.runtime.DispatchPlan` per option set, so every
+    later ``run`` only binds scalars, dispatches and gathers.
     """
 
     proc: Procedure
@@ -91,12 +97,14 @@ class MPCompiledProcedure:
     variants: object = None
     calibrate: bool | None = None
     _serial: CompiledProcedure = field(init=False, repr=False)
+    _plans: PlanCache = field(init=False, repr=False)
     _safety_report: object | None = field(init=False, default=None, repr=False)
     last: ParallelProcedureResult | None = field(init=False, default=None)
     fallback_reason: str | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self._serial = compile_procedure(self.proc)
+        self._plans = PlanCache(self.proc)
 
     @property
     def safety_report(self):
@@ -130,6 +138,12 @@ class MPCompiledProcedure:
     ) -> None:
         self.last = None
         self.fallback_reason = None
+        plan = self._plans.get(
+            safety=self.safety,
+            chunk_lang=self.chunk_lang,
+            variants=self.variants,
+            calibrate=self.calibrate,
+        )
         try:
             self.last = run_parallel_procedure(
                 self.proc,
@@ -143,10 +157,7 @@ class MPCompiledProcedure:
                 method=self.method,
                 reuse_pool=self.reuse_pool,
                 claim_batch=self.claim_batch,
-                chunk_lang=self.chunk_lang,
-                safety=self.safety,
-                variants=self.variants,
-                calibrate=self.calibrate,
+                plan=plan,
             )
         except (ParallelDispatchError, ParallelTimeoutError) as exc:
             if not self.fallback:

@@ -90,6 +90,13 @@ class DispatchCounters:
     calibrations: int = 0
     quick_calibrations: int = 0
     pinned_hits: int = 0
+    #: Dispatch-plan activity (:class:`repro.parallel.runtime.DispatchPlan`):
+    #: plans built (each one verifies its procedure once), runs served by
+    #: a plan an earlier call built, and chunk sources (py, numpy, C) the
+    #: plans generated.  Warm runs move only ``plan_hits``.
+    plan_builds: int = 0
+    plan_hits: int = 0
+    chunk_emits: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -112,6 +119,11 @@ class DispatchCounters:
                 "calibrations": self.calibrations,
                 "quick_calibrations": self.quick_calibrations,
                 "pinned_hits": self.pinned_hits,
+            },
+            "plan": {
+                "builds": self.plan_builds,
+                "hits": self.plan_hits,
+                "chunk_emits": self.chunk_emits,
             },
             "safety": {
                 "checked": self.safety_checked,
@@ -278,6 +290,24 @@ def record_pinned_hit(count: int = 1) -> None:
     """Count decisions served from a pinned cache manifest (no measuring)."""
     with _DISPATCH_LOCK:
         DISPATCH.pinned_hits += count
+
+
+def record_plan_build() -> None:
+    """Count one dispatch plan built (its static work done once)."""
+    with _DISPATCH_LOCK:
+        DISPATCH.plan_builds += 1
+
+
+def record_plan_hit() -> None:
+    """Count one run served by a plan an earlier call built."""
+    with _DISPATCH_LOCK:
+        DISPATCH.plan_hits += 1
+
+
+def record_chunk_emit() -> None:
+    """Count one chunk source (py, numpy or C) generated for a plan."""
+    with _DISPATCH_LOCK:
+        DISPATCH.chunk_emits += 1
 
 
 def record_reduction_dispatch(count: int = 1) -> None:

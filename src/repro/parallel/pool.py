@@ -47,11 +47,33 @@ from repro.parallel.worker import pool_worker_main
 GATHER_GRACE = 1.0
 
 
+def _libgomp_loaded() -> bool:
+    """Is the OpenMP runtime mapped into this process?"""
+    try:
+        with open("/proc/self/maps") as maps:
+            return "libgomp" in maps.read()
+    except OSError:  # pragma: no cover - no procfs
+        return False
+
+
 def mp_context(method: str | None = None) -> multiprocessing.context.BaseContext:
-    """The multiprocessing context the runtime uses (fork where possible)."""
+    """The multiprocessing context the runtime uses (fork where possible).
+
+    Fork is fastest and fine for these self-contained workers — unless
+    the parent has loaded libgomp (an in-process OpenMP kernel, e.g. a
+    calibration timing the ``gcc-omp`` variant): its thread pool does not
+    survive ``fork``, and a child entering an OpenMP region would block
+    forever on a lock owned by a thread that was never copied.  Workers
+    then start from a forkserver, a clean process that never loaded it;
+    it preloads the worker module, so only its own start pays the imports.
+    """
     if method is not None:
         return multiprocessing.get_context(method)
-    try:  # fork is fastest and fine for these self-contained workers
+    try:
+        if _libgomp_loaded():
+            ctx = multiprocessing.get_context("forkserver")
+            ctx.set_forkserver_preload(["repro.parallel.worker"])
+            return ctx
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context("spawn")

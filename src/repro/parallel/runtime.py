@@ -13,7 +13,14 @@ program therefore really performs one dispatch per serial-outer iteration
 (one per pivot row), which is exactly the overhead profile the paper's
 coalescing argument is about.
 
-Two dispatch engines serve those drivers:
+Both are "build a :class:`DispatchPlan`, then execute it": the plan holds
+everything static about a procedure under one set of run options (the
+verifier report, speculation and reduction routes, chunk sources, kernels,
+tuning decisions), so a caller that keeps it — the server, or
+:class:`repro.parallel.backend.MPCompiledProcedure` — pays for that work
+once and each later run only evaluates bounds, dispatches and gathers.
+
+Two dispatch engines execute a plan:
 
 * ``reuse_pool=True`` (the default for whole procedures) — a persistent
   :class:`repro.parallel.pool.WorkerPool`: workers spawn once, each
@@ -50,17 +57,21 @@ Robustness contract:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import multiprocessing
+import os
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from repro.analysis.pdg import Reduction, recognize_reduction
 from repro.cache import artifact_key, resolve_cache
-from repro.codegen.cgen import generate_chunk_c
+from repro.codegen.cgen import generate_chunk_c, scalar_c_types
 from repro.codegen.cload import compile_chunk_library, have_compiler
 from repro.codegen.npgen import generate_chunk_numpy
 from repro.codegen.pygen import generate_chunk_source, generate_source
@@ -86,7 +97,10 @@ from repro.parallel.errors import (
     WorkerCrashError,
 )
 from repro.parallel.observe import (
+    record_chunk_emit,
     record_chunk_fallback,
+    record_plan_build,
+    record_plan_hit,
     record_reduction_dispatch,
     record_run,
     record_safety,
@@ -112,16 +126,18 @@ from repro.parallel.worker import worker_main
 from repro.runtime.inspector import inspect_dispatch
 from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 from repro.scheduling.policies import SchedulingPolicy
-from repro.tuning.calibrate import make_tuner
+from repro.tuning.calibrate import TuningTally, make_tuner
 from repro.tuning.variants import default_variant, variant_by_name
 
 __all__ = [
     "ClaimEvent",
+    "DispatchPlan",
     "ParallelDispatchError",
     "ParallelError",
     "ParallelProcedureResult",
     "ParallelRunResult",
     "ParallelTimeoutError",
+    "PlanCache",
     "SafetyVerificationError",
     "WorkerCrashError",
     "resolve_chunk_lang",
@@ -398,90 +414,180 @@ def _dispatchable_loops(stmt: Stmt) -> list[Loop]:
     return []
 
 
-def _check_dispatchable(proc: Procedure) -> None:
-    """Raise :class:`ParallelDispatchError` unless something can go parallel."""
-    if not _contains_dispatchable(proc.body):
-        raise ParallelDispatchError(
-            f"procedure {proc.name!r} has no dispatchable unit-step DOALL "
-            "(coalesce it first, or run the serial backend)"
-        )
-
-
 # ---------------------------------------------------------------------------
-# Dispatch preparation (shared by the spawn and pool engines)
+# The dispatch plan: the static half of a run, built once and run many times
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _DispatchCaches:
-    """Per-run memoization of everything a dispatch recomputes needlessly.
+class _Kernel(NamedTuple):
+    """A compiled chunk kernel plus what rebuilding it takes."""
 
-    The same ``Loop`` object is dispatched once per serial-outer iteration
-    in a hybrid program; its chunk source, parameter order, and (for a
-    fixed trip count) its scheduling plan are identical every time.  Keys
-    use object identity — valid for the lifetime of one run, which is the
-    lifetime of this cache.
+    so_path: str
+    fname: str
+    sig: tuple[str, ...]
+    scalar_types: tuple[str, ...]
+    source: str
+    build: dict
 
-    Behind the per-run identity memo sits the on-disk artifact cache
-    (kind ``"chunk"``): generated chunk sources are keyed by the printed
-    loop (variable, bounds, *and* body) plus the calling convention, so
-    repeated runs of the same program — across processes, or through the
-    server — reuse one generated source.  The store is resolved lazily
-    from the process default; disabling the default cache disables this
-    layer too.
+
+def _widened(proc: Procedure, extra: tuple[str, ...]) -> Procedure:
+    """``proc`` whose parameter list also carries the env-local scalars."""
+    return Procedure(
+        proc.name, proc.body, proc.arrays, tuple(proc.scalars) + extra
+    )
+
+
+def _extra_scalars(proc: Procedure, loop: Loop, env) -> tuple[str, ...]:
+    """Env-local scalars a chunk also takes (outer serial loop variables)."""
+    return tuple(
+        sorted(k for k in env if k not in proc.scalars and k != loop.var)
+    )
+
+
+class DispatchPlan:
+    """Everything static about running one procedure, computed once.
+
+    The paper's amortization argument applied to the runtime itself: a
+    program is validated, verified and code-generated once, and each run
+    pays only for its loop bounds, the dispatch and the gather.  A plan is
+    built for one procedure and its static run options — ``safety``,
+    ``chunk_lang``, ``variants``, ``calibrate`` — and every run with those
+    options executes it (:meth:`execute`).
+
+    Built eagerly: the validated procedure, the verifier report and its
+    blocked-loop set, the speculation plans, the tuner, and — when
+    nothing can dispatch — the refusal every run raises.  Filled on first
+    use and kept for the plan's lifetime: per-loop chunk sources (py,
+    numpy), compiled C kernels keyed by ``(loop, extra scalars, scalar C
+    types, variant)``, derived reduction procedures, compiled serial
+    residues, and (inside the tuner) tuning decisions keyed by ``(loop,
+    scalar types, rule, chunk, workers)``.  Keys use loop identity, which
+    is stable because the plan keeps the procedure — and every derived
+    procedure — alive.
+
+    Per run stays: loop-bound evaluation, the dtype/contiguity/rank check
+    on the views, counter reset, dispatch and gather, inspector runs and
+    their certificates (each run gets its own copy of the report), and the
+    tuner's activity counts.
+
+    Fills are thread-safe — a hit reads a dict without locking, a miss
+    fills under the plan's lock — so two pools can run one plan at once.
+    A memoized kernel whose ``.so`` was evicted from the store is rebuilt
+    from its kept C source on the next dispatch that needs it.
     """
 
-    source: dict = field(default_factory=dict)
-    plans: dict = field(default_factory=dict)
-    kernels: dict = field(default_factory=dict)
-    np_chunks: dict = field(default_factory=dict)
-    #: id(loop) -> :class:`_ReductionPlan` | None (not a reduction).
-    reductions: dict = field(default_factory=dict)
-    #: id(stmt) -> compiled serial-residue entry | False (interpret).
-    residues: dict = field(default_factory=dict)
-    store: object = "default"  # resolved on first use
-    #: The run's :class:`repro.tuning.calibrate.DispatchTuner` (None for
-    #: the legacy fixed-default path).
-    tuner: object = None
+    def __init__(
+        self,
+        proc: Procedure,
+        safety: str | None = None,
+        chunk_lang: str | None = None,
+        variants=None,
+        calibrate: bool | None = None,
+        cache: object = "default",
+    ) -> None:
+        validate(proc)
+        self.proc = proc
+        self.mode = resolve_safety(safety)
+        self.lang = resolve_chunk_lang(chunk_lang)
+        self.store = resolve_cache(cache)
+        self.tuner = make_tuner(self.lang, variants, calibrate, store=self.store)
+        self.loops = _dispatchable_loops(proc.body)
+        self.report = None
+        self.blocked: frozenset[int] = frozenset()
+        self.spec_plans: dict[int, SpecPlan] = {}
+        #: ``(exception class, message, loops refused)`` every run raises
+        #: when nothing can be dispatched, else None.
+        self.refusal: tuple[type, str, int] | None = None
+        self._lock = threading.Lock()
+        self._sources: dict = {}
+        self._kernels: dict = {}
+        self._np_chunks: dict = {}
+        self._reductions: dict = {}
+        self._residues: dict = {}
+        record_plan_build()
+        if not self.loops:
+            self.refusal = (
+                ParallelDispatchError,
+                f"procedure {proc.name!r} has no dispatchable unit-step "
+                "DOALL (coalesce it first, or run the serial backend)",
+                0,
+            )
+            return
+        try:
+            self.report, self.blocked = _safety_gate(proc, self.mode)
+        except SafetyVerificationError as exc:
+            self.refusal = (SafetyVerificationError, str(exc), 0)
+            return
+        if not self.blocked:
+            return
+        if self.mode == "speculate":
+            self.spec_plans = _speculation_plans(
+                self.loops, self.blocked, self.report
+            )
+            if all(
+                id(lp) in self.blocked
+                and self.spec_plans[id(lp)].action == "refuse"
+                for lp in self.loops
+            ):
+                self.refusal = (
+                    SafetyVerificationError,
+                    f"safety=speculate refused every dispatch in "
+                    f"{proc.name!r}: {_unproven_summary(self.report)}",
+                    len(self.loops),
+                )
+        elif all(id(lp) in self.blocked for lp in self.loops):
+            self.refusal = (
+                SafetyVerificationError,
+                f"safety=enforce refused every dispatch in {proc.name!r}: "
+                f"{_unproven_summary(self.report)}",
+                len(self.loops),
+            )
 
-    def _store(self):
-        if self.store == "default":
-            self.store = resolve_cache("default")
-        return self.store
+    def _fill(self, memo: dict, key, produce):
+        """``memo[key]``, produced once under the plan's lock on a miss."""
+        hit = memo.get(key, _MISSING)
+        if hit is not _MISSING:
+            return hit
+        with self._lock:
+            hit = memo.get(key, _MISSING)
+            if hit is _MISSING:
+                hit = memo[key] = produce()
+        return hit
 
     def chunk_source(
         self, proc: Procedure, loop: Loop, extra: tuple[str, ...]
     ) -> tuple[str, str, list[str]]:
-        key = (id(loop), extra)
-        hit = self.source.get(key)
-        if hit is None:
+        """``(source, fname, scalar_order)`` of the Python chunk.
+
+        Generated sources are also memoized in the artifact store (kind
+        ``"chunk"``), keyed by the printed loop — variable, bounds *and*
+        body — plus the calling convention, so another plan of the same
+        program (another process, another server) emits nothing either.
+        """
+
+        def produce():
             fname = f"{proc.name}__chunk"
             scalar_order = list(proc.scalars) + list(extra)
 
             def generate() -> str:
-                return (
-                    _chunk_source_with_extras(proc, loop, extra)
-                    if extra
-                    else generate_chunk_source(proc, loop=loop)
-                )
+                record_chunk_emit()
+                return generate_chunk_source(_widened(proc, extra), loop=loop)
 
-            store = self._store()
-            if store is None:
-                source = generate()
-            else:
-                # The printed loop covers var, bounds, and body — two
-                # loops that collide here generate identical chunk
-                # sources, so a collision is harmless by construction.
-                ckey = artifact_key(
-                    "chunk",
-                    loop=to_source(loop),
-                    name=fname,
-                    arrays=list(proc.arrays),
-                    scalars=scalar_order,
-                )
-                source = store.memo_text(ckey, "chunk.py", generate)
-            hit = self.source[key] = (source, fname, scalar_order)
-        return hit
+            if self.store is None:
+                return generate(), fname, scalar_order
+            # Two loops that collide on this key generate identical chunk
+            # sources, so a collision is harmless by construction.
+            ckey = artifact_key(
+                "chunk",
+                loop=to_source(loop),
+                name=fname,
+                arrays=list(proc.arrays),
+                scalars=scalar_order,
+            )
+            source = self.store.memo_text(ckey, "chunk.py", generate)
+            return source, fname, scalar_order
+
+        return self._fill(self._sources, (id(loop), extra), produce)
 
     def chunk_kernel(
         self,
@@ -501,85 +607,88 @@ class _DispatchCaches:
         the farm variant: ``variant`` (a
         :class:`repro.tuning.variants.Variant`) selects the compiler,
         flag set, and — for the OpenMP variants — the in-chunk
-        ``parallel for`` body; None means the pre-farm default build.
-        Any codegen or compile failure is memoized as None, so a shape
-        that cannot go native costs one attempt per run, not one per
-        dispatch.
+        ``parallel for`` body; None means the default build.  A codegen
+        or compile failure is memoized as None, so a shape that cannot go
+        native costs one attempt per plan, not one per dispatch.
 
-        Behind the per-run memo, :func:`compile_chunk_library` is
-        content-addressed in the artifact cache: across processes and runs
-        each kernel build is compiled exactly once.
+        :func:`compile_chunk_library` is content-addressed in the
+        artifact store, so across processes each build compiles once.  A
+        memoized kernel whose ``.so`` has since been evicted is rebuilt
+        from its C source (a store miss, then one compile).
         """
+        variant = variant or default_variant("c")
         scalar_order = list(proc.scalars) + list(extra)
-        types = tuple(
-            "double"
-            if isinstance(env[s], (float, np.floating))
-            else "long"
-            for s in scalar_order
-        )
-        key = (id(loop), extra, types, variant.name if variant else None)
-        if key in self.kernels:
-            return self.kernels[key]
-        fname = f"{proc.name}__chunk"
-        try:
-            widened = Procedure(
-                proc.name, proc.body, proc.arrays,
-                tuple(proc.scalars) + extra,
-            )
-            source = generate_chunk_c(
-                widened,
-                loop=loop,
-                name=fname,
-                scalar_types=dict(zip(scalar_order, types)),
-                omp=bool(variant and variant.omp),
-            )
-            build = {}
-            if variant is not None:
-                build = dict(
-                    cc=variant.cc, optimize=variant.optimize,
+        types = scalar_c_types(scalar_order, env)
+        key = (id(loop), extra, types, variant.name)
+
+        def produce():
+            if variant.lang != "c":
+                return None  # no compiler: nothing native to build
+            fname = f"{proc.name}__chunk"
+            try:
+                record_chunk_emit()
+                source = generate_chunk_c(
+                    _widened(proc, extra),
+                    loop=loop,
+                    name=fname,
+                    scalar_types=dict(zip(scalar_order, types)),
                     omp=variant.omp,
                 )
-            so_path, _ = compile_chunk_library(
-                source, fname, cache=self._store(), **build
-            )
+                build = dict(
+                    cc=variant.cc, optimize=variant.optimize, omp=variant.omp
+                )
+                so_path, _ = compile_chunk_library(
+                    source, fname, cache=self.store, **build
+                )
+            except Exception:
+                return None
             sig: list[str] = []
             for rank in proc.arrays.values():
                 sig.append("ptr")
                 sig.extend(["long"] * rank)
             sig.extend(types)
-            hit = (so_path, fname, tuple(sig), types)
-        except Exception:
-            hit = None
-        self.kernels[key] = hit
-        return hit
+            return _Kernel(so_path, fname, tuple(sig), types, source, build)
+
+        kernel = self._fill(self._kernels, key, produce)
+        if kernel is None:
+            return None
+        if not os.path.exists(kernel.so_path):
+            with self._lock:
+                try:
+                    so_path, _ = compile_chunk_library(
+                        kernel.source, kernel.fname, cache=self.store,
+                        **kernel.build,
+                    )
+                except Exception:
+                    self._kernels[key] = None
+                    return None
+                kernel = self._kernels[key] = kernel._replace(
+                    so_path=so_path
+                )
+        return kernel[:4]
 
     def numpy_chunk(
         self, proc: Procedure, loop: Loop, extra: tuple[str, ...]
     ) -> tuple[str, str] | None:
-        """Whole-slice numpy chunk source, or None (shape refused).
+        """Whole-slice numpy chunk ``(np_source, np_fname)``, or None.
 
-        Returns ``(np_source, np_fname)``.  Refusals — shapes outside
-        :mod:`repro.codegen.npgen`'s vectorization-safety rules — are
-        memoized per run, and accepted sources are disk-memoized under
-        kind ``"chunk_numpy"`` like the Python chunk source.
+        None marks a shape outside :mod:`repro.codegen.npgen`'s
+        vectorization-safety rules (memoized like an accepted source,
+        which is also kept in the store under kind ``"chunk_numpy"``).
         """
-        key = (id(loop), extra)
-        if key in self.np_chunks:
-            return self.np_chunks[key]
-        try:
-            widened = Procedure(
-                proc.name, proc.body, proc.arrays,
-                tuple(proc.scalars) + extra,
-            )
+
+        def produce():
             fname = f"{proc.name}__chunk_np"
 
             def generate() -> str:
-                return generate_chunk_numpy(widened, loop=loop, name=fname)
+                record_chunk_emit()
+                return generate_chunk_numpy(
+                    _widened(proc, extra), loop=loop, name=fname
+                )
 
-            store = self._store()
-            if store is None:
-                source = generate()
-            else:
+            try:
+                if self.store is None:
+                    return generate(), fname
                 ckey = artifact_key(
                     "chunk_numpy",
                     loop=to_source(loop),
@@ -587,40 +696,217 @@ class _DispatchCaches:
                     arrays=list(proc.arrays),
                     scalars=list(proc.scalars) + list(extra),
                 )
-                source = store.memo_text(ckey, "chunk_np.py", generate)
-            hit = (source, fname)
-        except Exception:
-            hit = None
-        self.np_chunks[key] = hit
-        return hit
+                return self.store.memo_text(ckey, "chunk_np.py", generate), fname
+            except Exception:
+                return None
 
-    def plan_for(
-        self,
-        policy: SchedulingPolicy | str,
-        n: int,
-        workers: int,
-        chunk: int | None,
-    ):
-        key = (
-            policy if isinstance(policy, str) else id(policy),
-            n,
-            workers,
-            chunk,
+        return self._fill(self._np_chunks, (id(loop), extra), produce)
+
+    def reduction_plan(self, loop: Loop) -> "_ReductionPlan | None":
+        """The derived partial-accumulator form of ``loop``, or None.
+
+        Recognition runs once per loop per plan; a loop that is not the
+        reduction idiom memoizes None and costs nothing on re-dispatch.
+        """
+
+        def produce():
+            red = recognize_reduction(loop)
+            if red is None or red.scalar in self.proc.arrays:
+                return None
+            try:
+                return derive_reduction_dispatch(self.proc, loop, red)
+            except Exception:
+                return None
+
+        return self._fill(self._reductions, id(loop), produce)
+
+    def residue(self, stmt: Loop, env: Mapping[str, int | float]):
+        """The compiled serial residue of ``stmt`` (see
+        :func:`_compile_residue`), or False to interpret it."""
+        return self._fill(
+            self._residues, id(stmt), lambda: _compile_residue(stmt, env)
         )
-        hit = self.plans.get(key)
+
+    def drop_residue(self, stmt: Loop) -> None:
+        """Interpret ``stmt`` from now on (its compiled form failed)."""
+        self._residues[id(stmt)] = False
+
+    def execute(
+        self,
+        arrays: Mapping[str, np.ndarray],
+        scalars: Mapping[str, int | float] | None = None,
+        workers: int = 4,
+        policy: SchedulingPolicy | str = "gss",
+        chunk: int | None = None,
+        timeout: float | None = None,
+        log_events: bool = True,
+        method: str | None = None,
+        reuse_pool: bool = True,
+        claim_batch: int | str = "auto",
+        pool: WorkerPool | None = None,
+        preloaded: bool = False,
+        strict: bool = False,
+    ) -> "ParallelProcedureResult":
+        """Run the procedure once (see :func:`run_parallel_procedure`).
+
+        ``strict=True`` is the single-loop contract of
+        :func:`run_parallel_doall`: an inspector that refutes a blocked
+        loop raises :class:`SafetyVerificationError` instead of running
+        the loop serially.
+        """
+        if self.refusal is not None:
+            cls, message, refused = self.refusal
+            if refused:
+                record_safety_block(refused)
+            raise cls(message)
+        report = self.report
+        if report is not None:
+            report = dataclasses.replace(report, dynamic=[])
+        out = ParallelProcedureResult(
+            0.0,
+            reused_pool=reuse_pool or pool is not None,
+            safety_mode=self.mode,
+            safety=report,
+        )
+        run = _Run(
+            self,
+            policy,
+            chunk,
+            claim_batch if claim_batch == "auto" else int(claim_batch),
+            None if timeout is None else time.monotonic() + timeout,
+            log_events,
+            TuningTally() if self.tuner is not None else None,
+        )
+        env: dict[str, int | float] = dict(scalars or {})
+        interp = Interpreter()
+        t_start = time.monotonic()
+
+        def execute_on(views, nworkers, raw) -> None:
+            dispatch = _with_reduction(raw, self, views, nworkers, policy, out)
+            handler = _make_blocked_handler(
+                self, report, interp, views, out, dispatch, strict
+            )
+            _exec_hybrid(
+                self.proc.body, dispatch, interp, env, views, out,
+                run.deadline, self.blocked, handler,
+                _make_residue_runner(self, interp, views),
+            )
+
+        if pool is not None:
+            # ``preloaded=True`` is the zero-copy serving path: the caller
+            # has already written the request data into ``pool.views``
+            # and reads results out of them itself, so the load/copy-back
+            # round trip through ``arrays`` is skipped.
+            if not preloaded:
+                pool.load(arrays)
+            execute_on(
+                pool.views, pool.workers,
+                functools.partial(_dispatch_pool, run, pool),
+            )
+            if not preloaded:
+                pool.copy_back(arrays)
+        elif reuse_pool:
+            with WorkerPool(arrays, workers=workers, method=method) as wpool:
+                execute_on(
+                    wpool.views, wpool.workers,
+                    functools.partial(_dispatch_pool, run, wpool),
+                )
+                wpool.copy_back(arrays)
+        else:
+            ctx = mp_context(method)
+            with SharedArrayPool(arrays) as spool:
+                execute_on(
+                    spool.views, workers,
+                    functools.partial(
+                        _dispatch_spawn, run, spool, ctx, workers
+                    ),
+                )
+                spool.copy_back(arrays)
+        out.wall_time = time.monotonic() - t_start
+        if run.tally is not None:
+            out.calibrations = (
+                run.tally.calibrations + run.tally.quick_calibrations
+            )
+            out.pinned_decisions = run.tally.pinned_hits
+        record_run(out)
+        return out
+
+
+def _variants_key(variants):
+    """A hashable spelling of a ``variants`` option (names list or string)."""
+    if variants is None or isinstance(variants, str):
+        return variants
+    return tuple(variants)
+
+
+class PlanCache:
+    """The dispatch plans of one procedure, one per static option set.
+
+    What a long-lived holder of a compiled program keeps (the server's
+    registry entry, :class:`repro.parallel.backend.MPCompiledProcedure`):
+    :meth:`get` builds a plan on first use of an option set and returns
+    the same plan afterwards, counting a plan hit.  Thread-safe.
+    """
+
+    def __init__(self, proc: Procedure, cache: object = "default") -> None:
+        self.proc = proc
+        self.cache = cache
+        self._plans: dict[tuple, DispatchPlan] = {}
+        self._lock = threading.Lock()
+
+    def get(
+        self,
+        safety: str | None = None,
+        chunk_lang: str | None = None,
+        variants=None,
+        calibrate: bool | None = None,
+    ) -> DispatchPlan:
+        key = (
+            resolve_safety(safety),
+            resolve_chunk_lang(chunk_lang),
+            _variants_key(variants),
+            calibrate,
+        )
+        plan = self._plans.get(key)
+        if plan is None:
+            with self._lock:
+                plan = self._plans.get(key)
+                if plan is None:
+                    plan = self._plans[key] = DispatchPlan(
+                        self.proc, *key, cache=self.cache
+                    )
+                    return plan
+        record_plan_hit()
+        return plan
+
+
+@dataclass
+class _Run:
+    """One run's dispatch options, shared by every dispatch of the run."""
+
+    plan: DispatchPlan
+    policy: SchedulingPolicy | str
+    chunk: int | None
+    batch: int | str
+    deadline: float | None
+    log_events: bool
+    #: The run's tuner activity (None when the plan has no tuner).
+    tally: TuningTally | None
+    #: Scheduling plans by (policy, trip count, workers), per run.
+    scheds: dict = field(default_factory=dict)
+
+    def sched(self, n: int, active: int):
+        key = (
+            self.policy if isinstance(self.policy, str) else id(self.policy),
+            n,
+            active,
+        )
+        hit = self.scheds.get(key)
         if hit is None:
-            hit = self.plans[key] = policy_plan(policy, n, workers, chunk)
+            hit = self.scheds[key] = policy_plan(
+                self.policy, n, active, self.chunk
+            )
         return hit
-
-
-def _chunk_source_with_extras(
-    proc: Procedure, loop: Loop, extra: tuple[str, ...]
-) -> str:
-    """Chunk source whose parameter list also carries env-local scalars."""
-    widened = Procedure(
-        proc.name, proc.body, proc.arrays, tuple(proc.scalars) + extra
-    )
-    return generate_chunk_source(widened, loop=loop)
 
 
 def _empty_result(
@@ -633,16 +919,14 @@ def _empty_result(
 
 
 def _build_job(
+    run: _Run,
     proc: Procedure,
     loop: Loop,
     pool: SharedArrayPool,
     env: Mapping[str, int | float],
-    plan,
+    sched,
     lo: int,
     batch: int,
-    log_events: bool,
-    caches: _DispatchCaches,
-    chunk_lang: str,
     speculate: dict | None = None,
     decision=None,
     extra_specs: list | None = None,
@@ -677,10 +961,9 @@ def _build_job(
     demand) and participate in the native-path eligibility check, but are
     never copied back through the main pool.
     """
-    extra = tuple(
-        sorted(k for k in env if k not in proc.scalars and k != loop.var)
-    )
-    source, fname, scalar_order = caches.chunk_source(proc, loop, extra)
+    plan = run.plan
+    extra = _extra_scalars(proc, loop, env)
+    source, fname, scalar_order = plan.chunk_source(proc, loop, extra)
     job = {
         "source": source,
         "fname": fname,
@@ -688,10 +971,10 @@ def _build_job(
         "array_order": list(proc.arrays),
         "scalar_order": scalar_order,
         "scalars": {name: env[name] for name in scalar_order},
-        "plan": plan,
+        "plan": sched,
         "lo": lo,
         "batch": batch,
-        "log_events": log_events,
+        "log_events": run.log_events,
         "variant": "py",
     }
     if extra_specs:
@@ -705,7 +988,7 @@ def _build_job(
         }
         return job
     variant = None
-    lang = chunk_lang
+    lang = plan.lang
     if decision is not None:
         try:
             variant = variant_by_name(decision.variant)
@@ -724,7 +1007,7 @@ def _build_job(
             for a, rank in proc.arrays.items()
         )
         kernel = (
-            caches.chunk_kernel(proc, loop, extra, env, variant=variant)
+            plan.chunk_kernel(proc, loop, extra, env, variant=variant)
             if eligible
             else None
         )
@@ -739,7 +1022,7 @@ def _build_job(
         else:
             record_chunk_fallback()
     elif lang == "numpy":
-        npk = caches.numpy_chunk(proc, loop, extra)
+        npk = plan.numpy_chunk(proc, loop, extra)
         if npk is not None:
             np_source, np_fname = npk
             job["chunk_lang"] = "numpy"
@@ -843,23 +1126,23 @@ def _finalize_result(
 
 
 def _tuned_decision(
-    caches: _DispatchCaches,
+    run: _Run,
     proc: Procedure,
     loop: Loop,
     env: Mapping[str, int | float],
     views: Mapping[str, np.ndarray],
-    plan,
+    sched,
     n: int,
     workers: int,
-    chunk: int | None,
-    batch,
     speculate: dict | None,
 ):
-    """Consult the run's tuner (never for speculative dispatches)."""
-    if speculate is not None or caches.tuner is None:
+    """Consult the plan's tuner (never for speculative dispatches)."""
+    tuner = run.plan.tuner
+    if speculate is not None or tuner is None:
         return None
-    return caches.tuner.decision_for(
-        proc, loop, env, views, plan, n, workers, chunk, caches, batch
+    return tuner.decision_for(
+        proc, loop, env, views, sched, n, workers, run.chunk, run.plan,
+        run.batch, run.tally,
     )
 
 
@@ -884,19 +1167,13 @@ def _stamp_result(result: ParallelRunResult, job: dict, batch: int):
 
 
 def _dispatch_spawn(
+    run: _Run,
+    pool: SharedArrayPool,
+    ctx: multiprocessing.context.BaseContext,
+    workers: int,
     proc: Procedure,
     loop: Loop,
-    pool: SharedArrayPool,
     env: Mapping[str, int | float],
-    workers: int,
-    policy: SchedulingPolicy | str,
-    chunk: int | None,
-    batch: int,
-    deadline: float | None,
-    log_events: bool,
-    ctx: multiprocessing.context.BaseContext,
-    caches: _DispatchCaches,
-    chunk_lang: str = "py",
     speculate: dict | None = None,
     extra_specs: list | None = None,
     extra_views: Mapping[str, np.ndarray] | None = None,
@@ -906,20 +1183,19 @@ def _dispatch_spawn(
     hi = eval_bound(loop.upper, env, pool.views, "loop upper bound")
     n = max(0, hi - lo + 1)
     if n == 0:
-        return _empty_result(loop, lo, hi, workers, policy)
+        return _empty_result(loop, lo, hi, workers, run.policy)
     active = max(1, min(workers, n))
-    plan = caches.plan_for(policy, n, active, chunk)
+    sched = run.sched(n, active)
     decision = _tuned_decision(
-        caches, proc, loop, env, pool.views, plan, n, workers, chunk,
-        batch, speculate,
+        run, proc, loop, env, pool.views, sched, n, workers, speculate
     )
-    batch_n = _resolve_claim_batch(batch, decision, plan, n, active)
+    batch_n = _resolve_claim_batch(run.batch, decision, sched, n, active)
     job = _build_job(
-        proc, loop, pool, env, plan, lo, batch_n, log_events, caches,
-        chunk_lang, speculate, decision, extra_specs, extra_views,
+        run, proc, loop, pool, env, sched, lo, batch_n, speculate, decision,
+        extra_specs, extra_views,
     )
     counter = (
-        None if plan.static is not None else SharedClaimCounter(lo, hi, ctx)
+        None if sched.static is not None else SharedClaimCounter(lo, hi, ctx)
     )
     q = ctx.Queue()
     procs = [
@@ -935,29 +1211,23 @@ def _dispatch_spawn(
     for p in procs:
         p.start()
     try:
-        results = gather_results(procs, q, deadline, set(range(active)))
+        results = gather_results(procs, q, run.deadline, set(range(active)))
         raise_worker_crashes(results, procs)
     except BaseException:
         terminate_procs(procs)
         raise
     for p in procs:
         p.join(timeout=5.0)
-    result = _finalize_result(results, loop, lo, hi, n, active, plan, t_base)
+    result = _finalize_result(results, loop, lo, hi, n, active, sched, t_base)
     return _stamp_result(result, job, batch_n)
 
 
 def _dispatch_pool(
+    run: _Run,
     wpool: WorkerPool,
     proc: Procedure,
     loop: Loop,
     env: Mapping[str, int | float],
-    policy: SchedulingPolicy | str,
-    chunk: int | None,
-    batch: int,
-    deadline: float | None,
-    log_events: bool,
-    caches: _DispatchCaches,
-    chunk_lang: str = "py",
     speculate: dict | None = None,
     extra_specs: list | None = None,
     extra_views: Mapping[str, np.ndarray] | None = None,
@@ -969,20 +1239,19 @@ def _dispatch_pool(
     if n == 0:
         # Nothing to do — and nothing sent: the pool idles through empty
         # ranges and stays usable for the next dispatch.
-        return _empty_result(loop, lo, hi, wpool.workers, policy)
+        return _empty_result(loop, lo, hi, wpool.workers, run.policy)
     active = max(1, min(wpool.workers, n))
-    plan = caches.plan_for(policy, n, active, chunk)
+    sched = run.sched(n, active)
     decision = _tuned_decision(
-        caches, proc, loop, env, wpool.views, plan, n, wpool.workers,
-        chunk, batch, speculate,
+        run, proc, loop, env, wpool.views, sched, n, wpool.workers, speculate
     )
-    batch_n = _resolve_claim_batch(batch, decision, plan, n, active)
+    batch_n = _resolve_claim_batch(run.batch, decision, sched, n, active)
     job = _build_job(
-        proc, loop, wpool.shared, env, plan, lo, batch_n, log_events,
-        caches, chunk_lang, speculate, decision, extra_specs, extra_views,
+        run, proc, loop, wpool.shared, env, sched, lo, batch_n, speculate,
+        decision, extra_specs, extra_views,
     )
-    t_base, results = wpool.dispatch(job, lo, hi, deadline)
-    result = _finalize_result(results, loop, lo, hi, n, active, plan, t_base)
+    t_base, results = wpool.dispatch(job, lo, hi, run.deadline)
+    result = _finalize_result(results, loop, lo, hi, n, active, sched, t_base)
     return _stamp_result(result, job, batch_n)
 
 
@@ -995,15 +1264,16 @@ def _dispatch_pool(
 #: the folded result is deterministic across fleet sizes.
 _RED_MAX_CHUNKS = 64
 
-#: Finite identity constants for the derived init statement.  ``min`` and
-#: ``max`` use ±float-max instead of ±inf — generated Python and C sources
-#: cannot spell infinity as a literal — which folds exactly like the true
-#: identity for any representable finite data.
+#: Identity constants for the derived init statement: the true IEEE
+#: identities, so a partial that folds nothing leaves the accumulator
+#: bit-identical to serial — ``-0.0`` for ``+`` (``-0.0 + x == x`` for
+#: every x, ``-0.0`` included) and ±inf for ``min``/``max`` (which every
+#: generator spells: ``float("inf")`` in Python, ``INFINITY`` in C).
 _RED_IDENTITY: dict[str, float] = {
-    "+": 0.0,
+    "+": -0.0,
     "*": 1.0,
-    "min": float(np.finfo(np.float64).max),
-    "max": float(-np.finfo(np.float64).max),
+    "min": float("inf"),
+    "max": float("-inf"),
 }
 
 
@@ -1094,29 +1364,6 @@ def derive_reduction_dispatch(
     return _ReductionPlan(red, loop, derived, outer, partial, chunks, stride)
 
 
-def _reduction_plan(
-    caches: _DispatchCaches, proc: Procedure, loop: Loop
-) -> _ReductionPlan | None:
-    """The cached reduction plan for ``loop``, or None (dispatch normally).
-
-    Recognition runs once per loop identity per run; a loop that is not
-    the reduction idiom memoizes None and costs nothing on re-dispatch.
-    """
-    key = id(loop)
-    if key not in caches.reductions:
-        red = recognize_reduction(loop)
-        if red is None or red.scalar in proc.arrays:
-            caches.reductions[key] = None
-        else:
-            try:
-                caches.reductions[key] = derive_reduction_dispatch(
-                    proc, loop, red
-                )
-            except Exception:
-                caches.reductions[key] = None
-    return caches.reductions[key]
-
-
 def _reduction_grid(n: int) -> tuple[int, int]:
     """``(chunk_count, chunk_stride)`` for a trip count of ``n``.
 
@@ -1178,7 +1425,7 @@ def _dispatch_reduction(
     return result
 
 
-def _with_reduction(dispatch_raw, proc, caches, views, workers, policy, out):
+def _with_reduction(dispatch_raw, plan, views, workers, policy, out):
     """Wrap an engine closure so recognized reductions take the partial path.
 
     ``dispatch_raw(dproc, dloop, env, speculate, extra_specs,
@@ -1196,18 +1443,17 @@ def _with_reduction(dispatch_raw, proc, caches, views, workers, policy, out):
         loop: Loop, env, speculate: dict | None = None
     ) -> ParallelRunResult:
         if speculate is None:
-            plan = _reduction_plan(caches, proc, loop)
-            if plan is not None:
+            red = plan.reduction_plan(loop)
+            if red is not None:
                 result = _dispatch_reduction(
-                    plan, env, views, workers, policy,
+                    red, env, views, workers, policy,
                     lambda env2, specs, pviews: dispatch_raw(
-                        plan.proc, plan.loop, env2, None, specs, pviews
+                        red.proc, red.loop, env2, None, specs, pviews
                     ),
                 )
-                if out is not None:
-                    out.reductions += 1
+                out.reductions += 1
                 return result
-        return dispatch_raw(proc, loop, env, speculate, None, None)
+        return dispatch_raw(plan.proc, loop, env, speculate, None, None)
 
     return dispatch
 
@@ -1326,21 +1572,19 @@ def _compile_residue(stmt: Loop, env: Mapping[str, int | float]):
         return False
 
 
-def _make_residue_runner(caches: _DispatchCaches, interp, views):
+def _make_residue_runner(plan: DispatchPlan, interp, views):
     """Compiled execution of dispatch-free serial loops in the parent.
 
     The serial residue of a fissioned program (the cyclic-SCC sub-loops)
     runs in the parent; driving it through the tree interpreter would
     dominate the wall clock and bury the dispatched majority's speedup.
-    Each residue loop compiles once per run (generated Python, the same
+    Each residue loop compiles once per plan (generated Python, the same
     backend E10 proves bit-identical to the interpreter) and falls back
     to the interpreter on any failure — compile or call.
     """
 
     def run(stmt: Loop, env: dict) -> None:
-        entry = caches.residues.get(id(stmt))
-        if entry is None:
-            entry = caches.residues[id(stmt)] = _compile_residue(stmt, env)
+        entry = plan.residue(stmt, env)
         if entry is not False:
             fn, array_order, params, returns = entry
             try:
@@ -1348,7 +1592,7 @@ def _make_residue_runner(caches: _DispatchCaches, interp, views):
                 args += [env[p] for p in params]
                 out_vals = fn(*args)
             except Exception:
-                caches.residues[id(stmt)] = False
+                plan.drop_residue(stmt)
             else:
                 for name, val in zip(returns, out_vals):
                     env[name] = val
@@ -1453,39 +1697,47 @@ def _serial_blocked_handler(interp, views, out):
 
 
 def _make_blocked_handler(
-    mode: str,
-    plans: Mapping[int, SpecPlan],
+    plan: DispatchPlan,
     report,
     interp: Interpreter,
     views: Mapping[str, np.ndarray],
     out: ParallelProcedureResult,
     dispatch,
+    strict: bool = False,
 ) -> object:
     """The per-dispatch policy for statically-unproven loops.
 
     Enforce (and any plan-less loop under speculate) drops to serial.
-    Speculate routes by plan: inspector-eligible loops are addressed
-    first and dispatched normally when proven; value-carrying loops run
-    speculatively into shadows with commit-or-rollback; scalar-hazard
-    loops are refused to serial.  Every dynamic decision leaves a
-    :class:`SpecCertificate` on the safety report.
+    Speculate routes by the plan's speculation plans: inspector-eligible
+    loops are addressed first and dispatched normally when proven (a
+    refuted loop runs serially, or raises when ``strict``);
+    value-carrying loops run speculatively into shadows with
+    commit-or-rollback; scalar-hazard loops are refused to serial.  Every
+    dynamic decision leaves a :class:`SpecCertificate` on the run's copy
+    of the safety report.
     """
     serial = _serial_blocked_handler(interp, views, out)
-    if mode != "speculate":
+    if plan.mode != "speculate":
         return serial
 
     def handler(stmt: Loop, env: dict[str, int | float]) -> None:
-        plan = plans.get(id(stmt))
-        if plan is None or plan.action == "refuse":
+        spec = plan.spec_plans.get(id(stmt))
+        if spec is None or spec.action == "refuse":
             serial(stmt, env)
             return
-        if plan.action == "inspect":
+        if spec.action == "inspect":
             record_speculate(inspected=1)
             out.inspected += 1
             insp = inspect_dispatch(stmt, env, views)
             if report is not None:
                 report.dynamic.append(_inspect_certificate(stmt, insp))
             if not insp.proven:
+                if strict:
+                    record_safety_block()
+                    raise SafetyVerificationError(
+                        f"safety=speculate: runtime inspector refuted "
+                        f"dispatch of {plan.proc.name!r}: {insp.describe()}"
+                    )
                 serial(stmt, env)
                 return
             record_speculate(proven_dynamic=1)
@@ -1494,13 +1746,13 @@ def _make_blocked_handler(
             result.speculation = "proven-dynamic"
             out.dispatches.append(result)
             return
-        # plan.action == "speculate"
+        # spec.action == "speculate"
         record_speculate(speculated=1)
         out.speculated += 1
         t0 = time.monotonic()
         result, validation = _speculative_dispatch(
             lambda info: dispatch(stmt, env, speculate=info),
-            stmt, env, views, plan.written,
+            stmt, env, views, spec.written,
         )
         status = "committed" if validation.ok else "rolled-back"
         result.speculation = status
@@ -1595,8 +1847,11 @@ def run_parallel_doall(
     serial execution (``result.speculation`` is ``"committed"`` or
     ``"rolled-back"``).  Only a scalar-hazard loop (or an
     inspector-refuted one) still raises, exactly like enforce.
+
+    Builds a :class:`DispatchPlan` and executes it once; callers that run
+    one procedure many times should keep a plan (see
+    :func:`run_parallel_procedure`'s ``plan``).
     """
-    validate(proc)
     body = proc.body
     if len(body) != 1 or not isinstance(body.stmts[0], Loop):
         raise ParallelDispatchError(
@@ -1608,140 +1863,16 @@ def run_parallel_doall(
         raise ParallelDispatchError(
             f"outer loop {loop.var!r} is not a unit-step DOALL"
         )
-    mode = resolve_safety(safety)
-    report, blocked = _safety_gate(proc, mode)
-    env: dict[str, int | float] = dict(scalars or {})
-    spec_plan: SpecPlan | None = None
-    speculation_tag: str | None = None
-    if id(loop) in blocked:
-        if mode == "enforce":
-            record_safety_block()
-            raise SafetyVerificationError(
-                f"safety=enforce refused to dispatch {proc.name!r}: "
-                f"{_unproven_summary(report)}"
-            )
-        plan = speculation_plan(
-            loop, report.by_id.get(id(loop)) if report is not None else None
-        )
-        if plan.action == "refuse":
-            record_safety_block()
-            raise SafetyVerificationError(
-                f"safety=speculate refused to dispatch {proc.name!r}: "
-                f"{plan.reason}"
-            )
-        if plan.action == "inspect":
-            record_speculate(inspected=1)
-            insp = inspect_dispatch(loop, env, arrays)
-            if report is not None:
-                report.dynamic.append(_inspect_certificate(loop, insp))
-            if not insp.proven:
-                record_safety_block()
-                raise SafetyVerificationError(
-                    f"safety=speculate: runtime inspector refuted dispatch "
-                    f"of {proc.name!r}: {insp.describe()}"
-                )
-            record_speculate(proven_dynamic=1)
-            speculation_tag = "proven-dynamic"
-        else:
-            spec_plan = plan
-    if claim_batch != "auto":
-        claim_batch = int(claim_batch)
-    deadline = None if timeout is None else time.monotonic() + timeout
-    caches = _DispatchCaches()
-    lang = resolve_chunk_lang(chunk_lang)
-    caches.tuner = make_tuner(lang, variants, calibrate)
-    validation = None
-    t_spec = time.monotonic()
-    red_plan = _reduction_plan(caches, proc, loop)
-    if reuse_pool:
-        with WorkerPool(arrays, workers=workers, method=method) as wpool:
-            if spec_plan is None:
-                if red_plan is not None:
-                    result = _dispatch_reduction(
-                        red_plan, env, wpool.views, wpool.workers, policy,
-                        lambda env2, specs, pviews: _dispatch_pool(
-                            wpool, red_plan.proc, red_plan.loop, env2,
-                            policy, chunk, claim_batch, deadline,
-                            log_events, caches, lang, extra_specs=specs,
-                            extra_views=pviews,
-                        ),
-                    )
-                else:
-                    result = _dispatch_pool(
-                        wpool, proc, loop, env, policy, chunk, claim_batch,
-                        deadline, log_events, caches, lang,
-                    )
-                wpool.copy_back(arrays)
-            else:
-                record_speculate(speculated=1)
-                result, validation = _speculative_dispatch(
-                    lambda info: _dispatch_pool(
-                        wpool, proc, loop, env, policy, chunk, claim_batch,
-                        deadline, log_events, caches, lang, speculate=info,
-                    ),
-                    loop, env, wpool.views, spec_plan.written,
-                )
-                if validation.ok:
-                    wpool.copy_back(arrays)
-    else:
-        ctx = mp_context(method)
-        with SharedArrayPool(arrays) as pool:
-            if spec_plan is None:
-                if red_plan is not None:
-                    result = _dispatch_reduction(
-                        red_plan, env, pool.views, workers, policy,
-                        lambda env2, specs, pviews: _dispatch_spawn(
-                            red_plan.proc, red_plan.loop, pool, env2,
-                            workers, policy, chunk, claim_batch, deadline,
-                            log_events, ctx, caches, lang,
-                            extra_specs=specs, extra_views=pviews,
-                        ),
-                    )
-                else:
-                    result = _dispatch_spawn(
-                        proc, loop, pool, env, workers, policy, chunk,
-                        claim_batch, deadline, log_events, ctx, caches, lang,
-                    )
-                pool.copy_back(arrays)
-            else:
-                record_speculate(speculated=1)
-                result, validation = _speculative_dispatch(
-                    lambda info: _dispatch_spawn(
-                        proc, loop, pool, env, workers, policy, chunk,
-                        claim_batch, deadline, log_events, ctx, caches,
-                        lang, speculate=info,
-                    ),
-                    loop, env, pool.views, spec_plan.written,
-                )
-                if validation.ok:
-                    pool.copy_back(arrays)
-    if validation is not None:
-        status = "committed" if validation.ok else "rolled-back"
-        result.speculation = status
-        if report is not None:
-            report.dynamic.append(
-                SpecCertificate(
-                    loop_var=loop.var,
-                    mode="speculative",
-                    status=status,
-                    iterations=result.total_iterations,
-                    chunks=validation.chunks,
-                    conflicts=len(validation.conflicts),
-                    wall_s=time.monotonic() - t_spec,
-                    detail=validation.describe(),
-                )
-            )
-        if validation.ok:
-            record_speculate(committed=1)
-        else:
-            # Misspeculation: the caller's arrays were never touched —
-            # re-run serially for the exact serial result.
-            record_speculate(rolled_back=1)
-            Interpreter()._exec(loop, dict(env), arrays)
-    elif speculation_tag is not None:
-        result.speculation = speculation_tag
-    record_run(result)
-    return result
+    plan = DispatchPlan(
+        proc, safety=safety, chunk_lang=chunk_lang, variants=variants,
+        calibrate=calibrate,
+    )
+    out = plan.execute(
+        arrays, scalars, workers=workers, policy=policy, chunk=chunk,
+        timeout=timeout, log_events=log_events, method=method,
+        reuse_pool=reuse_pool, claim_batch=claim_batch, strict=True,
+    )
+    return out.dispatches[0]
 
 
 def run_parallel_procedure(
@@ -1762,6 +1893,7 @@ def run_parallel_procedure(
     variants=None,
     calibrate: bool | None = None,
     preloaded: bool = False,
+    plan: DispatchPlan | None = None,
 ) -> ParallelProcedureResult:
     """Execute a whole procedure, dispatching every reachable DOALL.
 
@@ -1790,9 +1922,9 @@ def run_parallel_procedure(
     ``chunk_lang``, ``claim_batch`` (default ``"auto"``), ``variants``,
     and ``calibrate`` behave exactly as in :func:`run_parallel_doall`;
     decisions are resolved per dispatched loop shape, so a hybrid program
-    calibrates each of its DOALLs at most once per run and every later
-    dispatch of the same shape reuses the pinned decision
-    (``result.calibrations`` / ``result.pinned_decisions`` count both).
+    calibrates each of its DOALLs at most once and every later dispatch of
+    the same shape reuses the pinned decision (``result.calibrations`` /
+    ``result.pinned_decisions`` count both, once per shape per run).
 
     ``safety`` selects the chunk-safety mode (default ``"warn"``: verify
     and report, dispatch everything).  Under ``"enforce"``, unproven
@@ -1807,127 +1939,28 @@ def run_parallel_procedure(
     ``committed`` / ``rolled_back`` and certificates on the safety
     report.  The refuse-everything raise then only fires when every
     dispatchable loop has a scalar hazard no dynamic mode can fix.
+
+    ``plan`` is a :class:`DispatchPlan` built earlier for ``proc`` (the
+    server's registry and :class:`~repro.parallel.backend.MPCompiledProcedure`
+    keep one per option set, see :class:`PlanCache`): the run then skips
+    validation, verification, chunk codegen and kernel resolution, and the
+    plan's ``safety``/``chunk_lang``/``variants``/``calibrate`` apply —
+    those four arguments are ignored.  Without one, a plan is built for
+    this call and dropped afterwards.
     """
-    validate(proc)
-    _check_dispatchable(proc)
-    mode = resolve_safety(safety)
-    report, blocked = _safety_gate(proc, mode)
-    plans: dict[int, SpecPlan] = {}
-    if blocked:
-        loops = _dispatchable_loops(proc.body)
-        if mode == "speculate":
-            plans = _speculation_plans(loops, blocked, report)
-            workable = [
-                lp
-                for lp in loops
-                if id(lp) not in blocked
-                or plans[id(lp)].action != "refuse"
-            ]
-            if not workable:
-                record_safety_block(len(loops))
-                raise SafetyVerificationError(
-                    f"safety=speculate refused every dispatch in "
-                    f"{proc.name!r}: {_unproven_summary(report)}"
-                )
-        elif all(id(lp) in blocked for lp in loops):
-            record_safety_block(len(loops))
-            raise SafetyVerificationError(
-                f"safety=enforce refused every dispatch in {proc.name!r}: "
-                f"{_unproven_summary(report)}"
-            )
-    if claim_batch != "auto":
-        claim_batch = int(claim_batch)
-    env: dict[str, int | float] = dict(scalars or {})
-    deadline = None if timeout is None else time.monotonic() + timeout
-    t_start = time.monotonic()
-    out = ParallelProcedureResult(
-        0.0,
-        reused_pool=reuse_pool or pool is not None,
-        safety_mode=mode,
-        safety=report,
+    if plan is None:
+        plan = DispatchPlan(
+            proc, safety=safety, chunk_lang=chunk_lang, variants=variants,
+            calibrate=calibrate,
+        )
+    elif plan.proc is not proc:
+        raise ValueError(
+            f"dispatch plan was built for {plan.proc.name!r}, not for this "
+            f"{proc.name!r} object"
+        )
+    return plan.execute(
+        arrays, scalars, workers=workers, policy=policy, chunk=chunk,
+        timeout=timeout, log_events=log_events, method=method,
+        reuse_pool=reuse_pool, claim_batch=claim_batch, pool=pool,
+        preloaded=preloaded,
     )
-    interp = Interpreter()
-    caches = _DispatchCaches()
-    lang = resolve_chunk_lang(chunk_lang)
-    caches.tuner = make_tuner(lang, variants, calibrate)
-    if pool is not None:
-        # ``preloaded=True`` is the zero-copy serving path: the caller has
-        # already written the request data into ``pool.views`` (e.g. the
-        # wire transport loading ``np.frombuffer`` views straight into the
-        # shm segments) and will read results out of the views itself, so
-        # the load/copy-back round trip through ``arrays`` is skipped.
-        if not preloaded:
-            pool.load(arrays)
-
-        def raw(dproc, dloop, denv, speculate, extra_specs, extra_views):
-            return _dispatch_pool(
-                pool, dproc, dloop, denv, policy, chunk, claim_batch,
-                deadline, log_events, caches, lang, speculate,
-                extra_specs, extra_views,
-            )
-
-        dispatch = _with_reduction(
-            raw, proc, caches, pool.views, pool.workers, policy, out
-        )
-        handler = _make_blocked_handler(
-            mode, plans, report, interp, pool.views, out, dispatch
-        )
-        _exec_hybrid(
-            proc.body, dispatch, interp, env, pool.views, out, deadline,
-            blocked, handler, _make_residue_runner(caches, interp, pool.views),
-        )
-        if not preloaded:
-            pool.copy_back(arrays)
-    elif reuse_pool:
-        with WorkerPool(arrays, workers=workers, method=method) as wpool:
-
-            def raw(dproc, dloop, denv, speculate, extra_specs, extra_views):
-                return _dispatch_pool(
-                    wpool, dproc, dloop, denv, policy, chunk, claim_batch,
-                    deadline, log_events, caches, lang, speculate,
-                    extra_specs, extra_views,
-                )
-
-            dispatch = _with_reduction(
-                raw, proc, caches, wpool.views, wpool.workers, policy, out
-            )
-            handler = _make_blocked_handler(
-                mode, plans, report, interp, wpool.views, out, dispatch
-            )
-            _exec_hybrid(
-                proc.body, dispatch, interp, env, wpool.views, out, deadline,
-                blocked, handler,
-                _make_residue_runner(caches, interp, wpool.views),
-            )
-            wpool.copy_back(arrays)
-    else:
-        ctx = mp_context(method)
-        with SharedArrayPool(arrays) as spool:
-
-            def raw(dproc, dloop, denv, speculate, extra_specs, extra_views):
-                return _dispatch_spawn(
-                    dproc, dloop, spool, denv, workers, policy, chunk,
-                    claim_batch, deadline, log_events, ctx, caches, lang,
-                    speculate, extra_specs, extra_views,
-                )
-
-            dispatch = _with_reduction(
-                raw, proc, caches, spool.views, workers, policy, out
-            )
-            handler = _make_blocked_handler(
-                mode, plans, report, interp, spool.views, out, dispatch
-            )
-            _exec_hybrid(
-                proc.body, dispatch, interp, env, spool.views, out, deadline,
-                blocked, handler,
-                _make_residue_runner(caches, interp, spool.views),
-            )
-            spool.copy_back(arrays)
-    out.wall_time = time.monotonic() - t_start
-    if caches.tuner is not None:
-        out.calibrations = (
-            caches.tuner.calibrations + caches.tuner.quick_calibrations
-        )
-        out.pinned_decisions = caches.tuner.pinned_hits
-    record_run(out)
-    return out

@@ -27,10 +27,14 @@ build with the refusal reason in the response, and a speculate run
 reports its per-dispatch dynamic outcomes (inspected / proven_dynamic /
 speculated / committed / rolled_back) in a ``speculate`` block.
 
-``POST /compile`` with ``backend="mp"`` also *pre-warms* the native chunk
-kernels for every dispatchable loop of the program — gcc runs at compile
-time, content-addressed into the artifact cache, so the first ``/run``
-resolves each kernel as a cache hit instead of paying compile latency.
+``POST /compile`` with ``backend="mp"`` also builds the program's
+:class:`~repro.parallel.runtime.DispatchPlan` — validation, the safety
+verifier, reduction routes — and *pre-warms* it with the native chunk
+kernels of every dispatchable loop: gcc runs at compile time, into the
+server's own artifact store, so no ``/run`` pays compile latency.  Every
+``/run`` executes a plan the registry entry keeps per option set (safety,
+chunk language, variants, calibrate), so warm runs do no static work at
+all: no verification, no chunk codegen, no store lookups.
 
 ``POST /run`` speaks three transports, negotiated per request (JSON stays
 the compatibility default):
@@ -78,7 +82,7 @@ from repro.parallel.observe import (
     record_fallback,
 )
 from repro.parallel.pool import WorkerPool
-from repro.parallel.runtime import run_parallel_procedure
+from repro.parallel.runtime import PlanCache, run_parallel_procedure
 from repro.parallel.shm import SEGMENT_PREFIX, ArraySpec, attach_array
 
 DEFAULT_PORT = 8923
@@ -123,6 +127,9 @@ class CompiledProgram:
     from_cache: bool
     compile_s: float
     serial: CompiledProcedure
+    #: The program's dispatch plans, one per static run-option set, built
+    #: on the server's store (the one /compile pre-warms).
+    plans: PlanCache
     cbackend: object | None = None  # CProcedure when backend == "c"
     #: Native chunk kernels compiled (or cache-hit) at /compile time for
     #: the mp backend, so the first /run never pays gcc latency.
@@ -381,9 +388,10 @@ class ReproServer(ThreadingHTTPServer):
             except CCompileError as exc:
                 raise RequestError(400, f"C compile failed: {exc}") from exc
             from_cache = from_cache and cbackend.from_cache
+        plans = PlanCache(proc, cache=self.cache)
         warm_kernels = 0
         if backend == "mp":
-            warm_kernels = _prewarm_chunk_kernels(proc, self.cache)
+            warm_kernels = _prewarm_chunk_kernels(plans.get())
         program = CompiledProgram(
             key=key,
             proc=proc,
@@ -392,6 +400,7 @@ class ReproServer(ThreadingHTTPServer):
             from_cache=from_cache,
             compile_s=time.perf_counter() - t0,
             serial=compile_procedure(proc),
+            plans=plans,
             cbackend=cbackend,
             warm_kernels=warm_kernels,
         )
@@ -526,17 +535,19 @@ class ReproServer(ThreadingHTTPServer):
             # interpreted chunk floor, which is dtype-generic.
             chunk_lang = "py"
 
+        plan_options = dict(
+            safety=safety,
+            chunk_lang=chunk_lang,
+            variants=variants,
+            calibrate=calibrate,
+        )
         run_kwargs = dict(
             workers=workers,
             policy=policy,
             chunk=chunk,
             claim_batch=claim_batch,
-            chunk_lang=chunk_lang,
             timeout=timeout,
             log_events=bool(body.get("log_events", False)),
-            safety=safety,
-            variants=variants,
-            calibrate=calibrate,
         )
         t0 = time.perf_counter()
         response: dict | bytes
@@ -550,8 +561,8 @@ class ReproServer(ThreadingHTTPServer):
                 with self.pools.lease(workers, arrays) as pool:
                     pool.load(arrays)
                     engine, stats = self._exec_mp(
-                        program, pool.views, scalars, run_kwargs,
-                        pool, preloaded=True,
+                        program, pool.views, scalars, plan_options,
+                        run_kwargs, pool, preloaded=True,
                     )
                     response = self._run_response(
                         key, engine, stats, t0, pool.views,
@@ -560,8 +571,8 @@ class ReproServer(ThreadingHTTPServer):
             elif backend == "mp":
                 with self.pools.lease(workers, arrays) as pool:
                     engine, stats = self._exec_mp(
-                        program, arrays, scalars, run_kwargs,
-                        pool, preloaded=False,
+                        program, arrays, scalars, plan_options,
+                        run_kwargs, pool, preloaded=False,
                     )
                 response = self._run_response(
                     key, engine, stats, t0, arrays, transport, want_wire
@@ -597,9 +608,11 @@ class ReproServer(ThreadingHTTPServer):
         return response
 
     def _exec_mp(
-        self, program, arrays, scalars, run_kwargs, pool, preloaded
+        self, program, arrays, scalars, plan_options, run_kwargs, pool,
+        preloaded,
     ) -> tuple[str, dict]:
         """One mp-backend run on a leased pool, with the serial fallback."""
+        plan = program.plans.get(**plan_options)
         try:
             result = run_parallel_procedure(
                 program.proc,
@@ -607,6 +620,7 @@ class ReproServer(ThreadingHTTPServer):
                 scalars,
                 pool=pool,
                 preloaded=preloaded,
+                plan=plan,
                 **run_kwargs,
             )
         except ParallelDispatchError as exc:
@@ -668,50 +682,37 @@ class ReproServer(ThreadingHTTPServer):
         return base
 
 
-def _prewarm_chunk_kernels(proc, cache) -> int:
-    """Build the variant farm for every dispatchable loop at /compile time.
+def _prewarm_chunk_kernels(plan) -> int:
+    """Fill ``plan`` with the variant farm of every dispatchable loop.
 
-    Compiles every available C variant (and generates the numpy chunk)
-    with the integer-scalar type signature (what JSON-decoded scalar
-    payloads resolve to), content-addressed into the artifact cache — so
-    the first /run's kernel resolution is a cache hit, never a compile,
-    whichever variant calibration later picks.  Returns the number of
-    builds warmed; failures (no compiler, ineligible shape) warm nothing
-    and cost one attempt each.
+    Runs at /compile time: compiles every available C variant (and
+    generates the numpy and py chunks) with the integer-scalar type
+    signature (what JSON-decoded scalar payloads resolve to), into the
+    plan's store and its kernel memo — so no /run compiles or emits,
+    whichever variant calibration later picks.  A recognized reduction
+    warms its derived partial-accumulator loop, which is what dispatches.
+    Returns the number of builds warmed; failures (no compiler,
+    ineligible shape) warm nothing and cost one attempt each.
     """
-    from repro.analysis.pdg import recognize_reduction
-    from repro.parallel.runtime import (
-        _dispatchable_loops,
-        _DispatchCaches,
-        derive_reduction_dispatch,
-    )
     from repro.tuning.variants import available_variants
 
-    caches = _DispatchCaches()
-    caches.store = cache
     warmed = 0
-    for lp in _dispatchable_loops(proc.body):
-        # A recognized reduction dispatches the *derived* strip-mined
-        # procedure (partial accumulators), so warm that kernel instead.
-        kproc, kloop = proc, lp
-        red = recognize_reduction(lp)
-        if red is not None and red.scalar not in proc.arrays:
-            try:
-                plan = derive_reduction_dispatch(proc, lp, red)
-            except Exception:
-                plan = None
-            if plan is not None:
-                kproc, kloop = plan.proc, plan.loop
+    for lp in plan.loops:
+        red = plan.reduction_plan(lp)
+        kproc, kloop = (red.proc, red.loop) if red is not None else (
+            plan.proc, lp
+        )
+        plan.chunk_source(kproc, kloop, ())
         env = {name: 1 for name in kproc.scalars}
         for variant in available_variants("auto"):
             if variant.lang == "c":
-                built = caches.chunk_kernel(
+                built = plan.chunk_kernel(
                     kproc, kloop, (), env, variant=variant
                 )
             elif variant.lang == "numpy":
-                built = caches.numpy_chunk(kproc, kloop, ())
+                built = plan.numpy_chunk(kproc, kloop, ())
             else:
-                continue  # the py chunk needs no warming
+                continue  # the py chunk was generated above
             if built is not None:
                 warmed += 1
     return warmed
@@ -909,16 +910,18 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(data)
+        # Counted before the write: a client that reads /metrics right
+        # after its response must already see these bytes.
         self.server.bump("bytes_out", len(data))
+        self.wfile.write(data)
 
     def _send_bytes(self, status: int, data: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(data)
         self.server.bump("bytes_out", len(data))
+        self.wfile.write(data)
 
     def _send_payload(self, payload: dict | bytes) -> None:
         """Send a handler result: wire frames as bytes, dicts as JSON."""

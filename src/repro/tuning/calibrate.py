@@ -43,6 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.cache import artifact_key, resolve_cache
+from repro.codegen.cgen import scalar_c_types
 from repro.ir.printer import to_source
 from repro.ir.stmt import Loop, Procedure
 from repro.parallel.counter import SharedClaimCounter
@@ -62,6 +63,7 @@ from repro.tuning.variants import (
 __all__ = [
     "DispatchTuner",
     "TuningDecision",
+    "TuningTally",
     "make_tuner",
     "measure_counter_cost",
     "pick_claim_batch",
@@ -120,6 +122,22 @@ class TuningDecision:
                 for k, v in (doc.get("measurements") or {}).items()
             },
         )
+
+
+@dataclass
+class TuningTally:
+    """One run's tuner activity: what ``/run`` reports as ``calibrations``
+    and ``pinned_decisions``.
+
+    ``seen`` holds the decision keys this run already consulted, so a
+    decision counts once per run however often a hybrid program
+    dispatches its loop.
+    """
+
+    calibrations: int = 0
+    quick_calibrations: int = 0
+    pinned_hits: int = 0
+    seen: set = field(default_factory=set, repr=False)
 
 
 #: Cross-run in-process decision memo (keyed by the disk decision key, so
@@ -211,7 +229,7 @@ def make_tuner(lang, variants=None, calibrate=None, store="default"):
 
 
 class DispatchTuner:
-    """Per-run decision resolver the dispatch engines consult.
+    """The decision resolver a dispatch plan consults.
 
     ``lang`` is the resolved chunk language; ``variants`` an optional
     explicit subset (names list or comma string); ``calibrate`` is
@@ -219,21 +237,27 @@ class DispatchTuner:
     forced single variant), or ``None`` (auto: quick-calibrate exactly
     when ``claim_batch="auto"`` meets a dynamic unit/fixed plan).
 
-    ``calibrations`` / ``quick_calibrations`` / ``pinned_hits`` count this
-    run's activity (the process-wide tallies live in
+    A tuner lives as long as its plan and memoizes every decision it
+    resolves, so warm runs neither hash keys nor touch the store.  Its
+    own ``calibrations`` / ``quick_calibrations`` / ``pinned_hits`` /
+    ``seen`` make it a :class:`TuningTally` too, counting activity when
+    no per-run tally is passed (the process-wide tallies live in
     :data:`repro.parallel.observe.DISPATCH`).
     """
 
     def __init__(self, lang: str, variants=None, calibrate=None,
                  store: object = "default") -> None:
+        self.calibrations = 0
+        self.quick_calibrations = 0
+        self.pinned_hits = 0
+        self.seen: set = set()
         self.lang = lang
         self.variants = variants
         self.calibrate = calibrate
         self.store = store
-        self.calibrations = 0
-        self.quick_calibrations = 0
-        self.pinned_hits = 0
+        #: decision key -> (decision, served-without-measuring?)
         self._by_loop: dict = {}
+        self._lock = threading.Lock()
         self._omp_safe_memo: dict[int, bool] = {}
 
     # -- resolution -----------------------------------------------------
@@ -250,32 +274,54 @@ class DispatchTuner:
         chunk: int | None,
         caches,
         requested_batch,
+        tally: TuningTally | None = None,
     ) -> TuningDecision | None:
         """The pinned/measured decision for one dispatch, or None (legacy).
 
-        Memoized per (loop, rule-kind, chunk) for the run, so a hybrid
-        program dispatching the same loop once per pivot row resolves it
-        once — later dispatches reuse the decision (re-clamped to their
-        own trip count by the runtime's batch resolver).
+        Memoized for the tuner's lifetime per (loop, extra scalars, scalar
+        types, rule kind, chunk, workers, auto batch): a hybrid program
+        dispatching one loop per pivot row, and every later run of the
+        plan, resolve it once — later dispatches reuse the decision
+        (re-clamped to their own trip count by the runtime's batch
+        resolver).  ``caches`` supplies the chunk builds measured (the
+        dispatch plan).  Activity counts into ``tally`` (default: the
+        tuner itself); a memoized pinned or measured decision counts as a
+        pinned hit the first time each run consults it.
         """
+        tally = self if tally is None else tally
         rule_kind = plan.rule[0] if plan.rule is not None else "static"
-        ctx_key = (id(loop), rule_kind, chunk)
-        if ctx_key in self._by_loop:
-            return self._by_loop[ctx_key]
-        decision = self._resolve(
-            proc, loop, env, views, plan, n, workers, chunk, caches,
-            requested_batch,
-        )
-        self._by_loop[ctx_key] = decision
-        return decision
-
-    def _resolve(
-        self, proc, loop, env, views, plan, n, workers, chunk, caches,
-        requested_batch,
-    ) -> TuningDecision | None:
         extra = tuple(
             sorted(k for k in env if k not in proc.scalars and k != loop.var)
         )
+        types = scalar_c_types(list(proc.scalars) + list(extra), env)
+        ctx_key = (
+            id(loop), extra, types, rule_kind, chunk, workers,
+            requested_batch == "auto",
+        )
+        hit = self._by_loop.get(ctx_key)
+        if hit is None:
+            with self._lock:
+                hit = self._by_loop.get(ctx_key)
+                if hit is None:
+                    hit = self._by_loop[ctx_key] = self._resolve(
+                        proc, loop, extra, env, views, plan, n, workers,
+                        chunk, caches, requested_batch, tally,
+                    )
+                    tally.seen.add(ctx_key)
+        decision, measured = hit
+        if ctx_key not in tally.seen:
+            tally.seen.add(ctx_key)
+            if measured:
+                tally.pinned_hits += 1
+                record_pinned_hit()
+        return decision
+
+    def _resolve(
+        self, proc, loop, extra, env, views, plan, n, workers, chunk, caches,
+        requested_batch, tally,
+    ) -> tuple[TuningDecision | None, bool]:
+        """``(decision, measured)``: measured is False for forced and
+        legacy (None) decisions, which never count as pinned hits."""
         full_key, quick_key = self._decision_keys(
             proc, loop, extra, env, plan, workers, chunk
         )
@@ -283,29 +329,30 @@ class DispatchTuner:
         for key in keys:
             found = self._load_decision(key)
             if found is not None:
-                self.pinned_hits += 1
+                tally.pinned_hits += 1
                 record_pinned_hit()
-                return self._adapt(found)
+                return self._adapt(found), True
         if self.calibrate is True:
             decision = self._full_calibration(
-                proc, loop, extra, env, views, plan, n, workers, caches
+                proc, loop, extra, env, views, plan, n, workers, caches,
+                tally,
             )
             if decision is not None:
                 self._pin(full_key, decision)
-            return decision
+            return decision, decision is not None
         if self.calibrate is False:
-            return self._forced_decision(proc, loop)
+            return self._forced_decision(proc, loop), False
         # Auto: measure only when the batch is actually undecided.
         if requested_batch != "auto":
-            return None
+            return None, False
         if plan.rule is None or plan.rule[0] not in ("unit", "fixed"):
-            return None
+            return None, False
         decision = self._quick_calibration(
-            proc, loop, extra, env, views, plan, n, workers, caches
+            proc, loop, extra, env, views, plan, n, workers, caches, tally
         )
         if decision is not None:
             self._pin(quick_key, decision)
-        return decision
+        return decision, decision is not None
 
     def _adapt(self, found: TuningDecision) -> TuningDecision:
         """Re-validate a pinned variant against *this* host's toolchain."""
@@ -350,10 +397,7 @@ class DispatchTuner:
     def farm_key(self, proc, loop, extra, env) -> str:
         """Content address of this chunk shape's variant farm."""
         scalar_order = list(proc.scalars) + list(extra)
-        types = [
-            "double" if isinstance(env[s], (float, np.floating)) else "long"
-            for s in scalar_order
-        ]
+        types = list(scalar_c_types(scalar_order, env))
         names = self.variants
         if isinstance(names, str):
             names = [x.strip() for x in names.split(",") if x.strip()]
@@ -532,7 +576,7 @@ class DispatchTuner:
         return statistics.median(times) / slice_n
 
     def _full_calibration(
-        self, proc, loop, extra, env, views, plan, n, workers, caches
+        self, proc, loop, extra, env, views, plan, n, workers, caches, tally
     ) -> TuningDecision | None:
         lo = self._measure_lo(loop, env, views)
         if lo is None:
@@ -571,12 +615,12 @@ class DispatchTuner:
             measurements=measurements,
         )
         self._publish_farm(proc, loop, extra, env, built)
-        self.calibrations += 1
+        tally.calibrations += 1
         record_calibration(full=True)
         return decision
 
     def _quick_calibration(
-        self, proc, loop, extra, env, views, plan, n, workers, caches
+        self, proc, loop, extra, env, views, plan, n, workers, caches, tally
     ) -> TuningDecision | None:
         lo = self._measure_lo(loop, env, views)
         if lo is None:
@@ -608,7 +652,7 @@ class DispatchTuner:
             full=False,
             measurements={variant.name: per_iter},
         )
-        self.quick_calibrations += 1
+        tally.quick_calibrations += 1
         record_calibration(full=False)
         return decision
 

@@ -155,6 +155,22 @@ class TestCompileAndRun:
                 baseline[arr], arrays[arr], rtol=1e-12, atol=1e-12, err_msg=arr
             )
 
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_coalesced_workload_compiles_and_agrees(self, name):
+        # Coalescing can reuse an index name as both a loop variable (the
+        # pivot nest of gauss_jordan) and a recovered scalar in another
+        # nest; each must be declared in its own scope.
+        w = get_workload(name)
+        coalesced, _ = coalesce_procedure(w.proc)
+        arrays, sc = make_env(w, seed=3)
+        baseline = copy_env(arrays)
+        run(w.proc, baseline, sc)
+        compile_c_procedure(coalesced).run(arrays, sc)
+        for arr in w.proc.arrays:
+            np.testing.assert_allclose(
+                baseline[arr], arrays[arr], rtol=1e-12, atol=1e-12, err_msg=arr
+            )
+
     def test_dtype_check(self):
         p = parse(MATMUL)
         compiled = compile_c_procedure(p)

@@ -24,7 +24,7 @@ from repro.codegen.pygen import compile_procedure
 from repro.parallel import run_parallel_doall
 from repro.parallel.counter import policy_plan
 from repro.parallel.observe import DISPATCH
-from repro.parallel.runtime import _DispatchCaches, resolve_chunk_lang
+from repro.parallel.runtime import DispatchPlan, resolve_chunk_lang
 from repro.transforms import coalesce_procedure
 from repro.tuning.calibrate import (
     BATCH_CANDIDATES,
@@ -128,8 +128,7 @@ class TestFullCalibrationManifest:
         plan = policy_plan("unit", n, 2, None)
         lang = resolve_chunk_lang(None)
 
-        caches = _DispatchCaches()
-        caches.store = cache
+        caches = DispatchPlan(proc, cache=cache)
         t1 = DispatchTuner(lang, calibrate=True, store=cache)
         d1 = t1.decision_for(
             proc, loop, sc, arrays, plan, n, 2, None, caches, "auto"
@@ -181,7 +180,7 @@ class TestFullCalibrationManifest:
         n = sc["n"] * sc["m"]
         plan = policy_plan("unit", n, 2, None)
         d = tuner.decision_for(
-            proc, loop, sc, arrays, plan, n, 2, None, _DispatchCaches(),
+            proc, loop, sc, arrays, plan, n, 2, None, DispatchPlan(proc),
             "auto",
         )
         assert d is not None
