@@ -27,10 +27,12 @@ edges (``a == b``, carried) are kept: a statement in a dependence cycle
 with itself must stay serial, and the SCC condensation below treats such
 a singleton as cyclic.
 
-On top of the graph: a self-contained iterative **Tarjan SCC** (the
-strict-typed analysis layer takes no networkx dependency) and a
-condensation in topological order — the legality skeleton for loop
-fission (:mod:`repro.transforms.fission`).
+On top of the graph: the SCC condensation in topological order, ties
+broken by textual position — the legality skeleton for both loop
+distribution (:mod:`repro.transforms.distribute`) and fission
+(:mod:`repro.transforms.fission`).  Fusion legality
+(:mod:`repro.transforms.fuse`) is a query on the PDG of the candidate
+fused loop.
 
 This module also hosts **reduction recognition** shared by the safety
 verifier, the transform layer, and the mp runtime: ``s := s ⊕ expr``
@@ -42,7 +44,7 @@ accumulators with a deterministic ordered combine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.analysis.dependence import DependenceTester, LoopInfo
 from repro.analysis.doall import AccessInfo, collect_accesses
@@ -57,6 +59,8 @@ __all__ = [
     "Reduction",
     "build_pdg",
     "recognize_reduction",
+    "scalar_reads",
+    "scalar_writes",
 ]
 
 
@@ -116,63 +120,37 @@ class PDG:
     def sccs(self) -> tuple[tuple[int, ...], ...]:
         """Strongly connected components in topological order.
 
-        Iterative Tarjan; components come out in reverse topological
-        order, so the result is reversed before returning.  Only carried
-        edges *and* loop-independent edges both participate in SCC
-        formation — a loop-independent cycle (mutual scalar touches in
-        one iteration) still pins statements together.
+        Among components whose predecessors are all placed, the one
+        holding the lowest statement index goes first, so statements keep
+        their textual order unless a dependence forces otherwise.  Carried
+        and loop-independent edges both count: a loop-independent cycle
+        (mutual scalar touches in one iteration) still pins statements
+        together.
         """
         n = len(self.stmts)
-        succ: dict[int, list[int]] = {k: [] for k in range(n)}
+        reach: list[set[int]] = [set() for _ in range(n)]
         for e in self.edges:
-            if e.src != e.dst and e.dst not in succ[e.src]:
-                succ[e.src].append(e.dst)
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        on_stack: set[int] = set()
-        stack: list[int] = []
+            reach[e.src].add(e.dst)
+        for k in range(n):  # Warshall's transitive closure
+            for row in reach:
+                if k in row:
+                    row |= reach[k]
+        # Each statement's component is named by its lowest member.
+        root = [
+            min([a] + [b for b in reach[a] if a in reach[b]])
+            for a in range(n)
+        ]
+        preds: dict[int, set[int]] = {r: set() for r in root}
+        for e in self.edges:
+            if root[e.src] != root[e.dst]:
+                preds[root[e.dst]].add(root[e.src])
         out: list[tuple[int, ...]] = []
-        counter = 0
-
-        for root in range(n):
-            if root in index:
-                continue
-            # Each work item: (node, iterator over its successors).
-            work: list[tuple[int, Iterator[int]]] = [(root, iter(succ[root]))]
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for child in it:
-                    if child not in index:
-                        index[child] = low[child] = counter
-                        counter += 1
-                        stack.append(child)
-                        on_stack.add(child)
-                        work.append((child, iter(succ[child])))
-                        advanced = True
-                        break
-                    if child in on_stack:
-                        low[node] = min(low[node], index[child])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp: list[int] = []
-                    while True:
-                        top = stack.pop()
-                        on_stack.discard(top)
-                        comp.append(top)
-                        if top == node:
-                            break
-                    out.append(tuple(sorted(comp)))
-        out.reverse()
+        while preds:
+            ready = min(r for r, before in preds.items() if not before)
+            del preds[ready]
+            for before in preds.values():
+                before.discard(ready)
+            out.append(tuple(a for a in range(n) if root[a] == ready))
         return tuple(out)
 
     def cyclic(self, component: tuple[int, ...]) -> bool:
@@ -222,7 +200,7 @@ class PDG:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_reads(s: Stmt) -> set[str]:
+def scalar_reads(s: Stmt) -> set[str]:
     """Scalar names read in ``s``, excluding loops' own induction vars."""
     bound = {lp.var for lp in walk_stmts(s) if isinstance(lp, Loop)}
     return {
@@ -230,7 +208,8 @@ def _scalar_reads(s: Stmt) -> set[str]:
     } - bound
 
 
-def _scalar_writes(s: Stmt) -> set[str]:
+def scalar_writes(s: Stmt) -> set[str]:
+    """Scalar names assigned anywhere in ``s``."""
     return {
         sub.target.name
         for sub in walk_stmts(s)
@@ -315,8 +294,8 @@ def build_pdg(loop: Loop, outer: Sequence[Loop] = ()) -> PDG:
     """
     stmts = tuple(loop.body.stmts)
     accesses = [collect_accesses(Block((s,))) for s in stmts]
-    reads = [_scalar_reads(s) for s in stmts]
-    writes = [_scalar_writes(s) for s in stmts]
+    reads = [scalar_reads(s) for s in stmts]
+    writes = [scalar_writes(s) for s in stmts]
     bound = {loop.var} | {lp.var for lp in outer}
 
     edges: list[PDGEdge] = []

@@ -3,9 +3,9 @@
 * :mod:`repro.runtime.interp` — sequential reference interpreter over numpy
   arrays, with optional operation counting (used by the recovery-cost
   experiment E2).
-* :mod:`repro.runtime.executor` — DOALL executors: sequential, thread-pool,
-  and ordered/shuffled iteration drivers used to demonstrate that coalesced
-  iterations can run in any order.
+* :mod:`repro.runtime.executor` — ordered and shuffled DOALL iteration
+  drivers used to demonstrate that coalesced iterations can run in any
+  order.
 * :mod:`repro.runtime.equivalence` — harness asserting transformed programs
   compute the same arrays as the original.
 * :mod:`repro.runtime.inspector` — the dynamic half of ``safety=speculate``:
@@ -25,39 +25,20 @@ from repro.runtime.interp import (
     eval_bound,
     run,
 )
-from repro.runtime.executor import (
-    run_doall_serial,
-    run_doall_shuffled,
-    run_doall_threads,
-)
+from repro.runtime.executor import run_doall_serial, run_doall_shuffled
 from repro.runtime.equivalence import assert_equivalent, random_env
-from repro.runtime.selfsched import (
-    FetchAddCounter,
-    SelfSchedStats,
-    fixed_chunks,
-    guided_chunks,
-    run_self_scheduled,
-    unit_chunks,
-)
 
 __all__ = [
-    "FetchAddCounter",
     "InspectionResult",
     "Interpreter",
     "InterpreterError",
     "OpCounts",
-    "SelfSchedStats",
     "assert_equivalent",
     "eval_bound",
     "inspect_dispatch",
-    "fixed_chunks",
-    "guided_chunks",
     "random_env",
     "record_chunk",
     "run",
     "run_doall_serial",
     "run_doall_shuffled",
-    "run_doall_threads",
-    "run_self_scheduled",
-    "unit_chunks",
 ]

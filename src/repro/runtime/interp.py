@@ -239,9 +239,8 @@ def eval_bound(
 
     The public face of the interpreter's integer-expression evaluation:
     runtime drivers (:mod:`repro.runtime.executor`,
-    :mod:`repro.runtime.selfsched`, :mod:`repro.parallel.runtime`) all need
-    concrete loop bounds from IR expressions before they can partition an
-    iteration space.  Raises :class:`InterpreterError` if the expression
+    :mod:`repro.parallel.runtime`) both need concrete loop bounds from IR
+    expressions before they can partition an iteration space.  Raises :class:`InterpreterError` if the expression
     does not evaluate to an integer.
     """
     return Interpreter()._eval_int(e, env, arrays or {}, what)

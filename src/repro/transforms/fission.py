@@ -8,10 +8,11 @@ pieces that the mp runtime never dispatches.  Fission closes that gap:
 1. build the statement-level PDG (:mod:`repro.analysis.pdg`) over the
    loop body;
 2. condense to SCCs and emit them in topological order, one sub-loop
-   per component (the classic legality argument: statements in a
-   dependence cycle must stay in one loop; acyclic components may be
-   separated and the topological order preserves every cross-component
-   dependence);
+   per component — exactly the pieces
+   :func:`repro.transforms.distribute.split_loop` builds (the classic
+   legality argument: statements in a dependence cycle must stay in one
+   loop; acyclic components may be separated and the topological order
+   preserves every cross-component dependence);
 3. re-classify each acyclic piece with the DOALL analyser
    (:func:`repro.analysis.doall.classify_loop`) — clean pieces become
    dispatchable DOALL loops, cyclic residues stay serial.
@@ -33,6 +34,7 @@ from repro.analysis.doall import classify_loop
 from repro.analysis.pdg import PDG, PDGEdge, build_pdg
 from repro.analysis.safety import SafetyFinding
 from repro.ir.stmt import Block, If, Loop, LoopKind, Procedure, Stmt
+from repro.transforms.distribute import split_loop
 
 __all__ = [
     "FissionOutcome",
@@ -168,12 +170,9 @@ def fission_loop(
             blocking_statements=comp,
             blocking_edge=_pick_blocking_edge(pdg, comp),
         )
-    stmts = list(loop.body.stmts)
     out: list[Loop] = []
     pieces: list[FissionPiece] = []
-    for comp in components:
-        body = Block(tuple(stmts[k] for k in comp))
-        piece = loop.with_body(body)
+    for comp, piece in zip(components, split_loop(pdg)):
         doall = not pdg.cyclic(comp) and classify_loop(piece, outer)
         kind = LoopKind.DOALL if doall else LoopKind.SERIAL
         out.append(piece.with_kind(kind))

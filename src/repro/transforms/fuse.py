@@ -14,21 +14,23 @@ precedes every iteration of the second, so all cross-loop dependences point
 first → second.  After fusion, instance i of the first body precedes
 instance i′ of the second iff i ≤ i′; a dependence needing i > i′ (a
 feasible ``>`` direction between the aligned index variables) is
-*fusion-preventing*.  Shared scalars with a write on either side are
-rejected conservatively.
+*fusion-preventing*.  The test builds the PDG of the candidate fused loop
+(:func:`repro.analysis.pdg.build_pdg`), where such a dependence is a
+carried edge from a second-body statement to a first-body one.  Written
+scalars with an upward-exposed use on either side are rejected
+conservatively.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.dependence import DependenceTester, LoopInfo
-from repro.analysis.doall import collect_accesses
+from repro.analysis.doall import upward_exposed_scalars
+from repro.analysis.pdg import build_pdg, scalar_reads, scalar_writes
 from repro.ir.expr import Expr, Var
 from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
 from repro.ir.visitor import transform_exprs
 from repro.transforms.base import TransformError
-from repro.transforms.distribute import _stmt_scalar_reads, _stmt_scalar_writes
 
 
 def _headers_conformable(a: Loop, b: Loop) -> bool:
@@ -55,58 +57,38 @@ def _rename_induction(body: Block, old: str, new: str) -> Block:
     return out
 
 
+def _fused(first: Loop, second: Loop) -> Loop:
+    """``first``'s header over ``first``'s body then ``second``'s, the
+    latter renamed to ``first``'s induction variable."""
+    renamed = _rename_induction(second.body, second.var, first.var)
+    return first.with_body(Block(first.body.stmts + renamed.stmts))
+
+
 def fusion_preventing(first: Loop, second: Loop, outer: Sequence[Loop] = ()) -> bool:
     """True when some dependence forbids fusing ``first`` with ``second``.
 
-    Assumes conformable headers; ``second``'s index is aligned to
-    ``first``'s for the test.
+    Assumes conformable headers.  Read off the PDG of the candidate fused
+    loop: fusion is prevented by a carried array dependence running from a
+    statement of ``second`` back to one of ``first``.
     """
     # Scalars: a written scalar vetoes fusion only when some use of it is
     # *upward-exposed* (read before any same-iteration write) — then its
     # value flows between loop instances with no per-iteration alignment.
     # Private temporaries (defined before use in their own body, like the
     # index-recovery scalars coalescing emits) are harmless.
-    from repro.analysis.doall import upward_exposed_scalars
-
     e1, _ = upward_exposed_scalars(first.body)
     e2, _ = upward_exposed_scalars(second.body)
-    w1 = _stmt_scalar_writes(first.body) - {first.var}
-    w2 = _stmt_scalar_writes(second.body) - {second.var}
+    w1 = scalar_writes(first.body) - {first.var}
+    w2 = scalar_writes(second.body) - {second.var}
     exposed = (e1 | e2) - {first.var, second.var}
     if (w1 | w2) & exposed:
         return True
 
-    second_aligned = second.with_body(
-        _rename_induction(second.body, second.var, first.var)
+    n_first = len(first.body.stmts)
+    return any(
+        e.carried and e.kind != "scalar" and e.src >= n_first > e.dst
+        for e in build_pdg(_fused(first, second), outer).edges
     )
-    acc1 = collect_accesses(first.body)
-    acc2 = collect_accesses(second_aligned.body)
-    level = len(outer)
-    for x in acc1:
-        for y in acc2:
-            if x.ref.name != y.ref.name:
-                continue
-            if not (x.is_write or y.is_write):
-                continue
-            k = 0
-            while (
-                k < len(x.inner_chain)
-                and k < len(y.inner_chain)
-                and x.inner_chain[k] == y.inner_chain[k]
-            ):
-                k += 1
-            common = list(outer) + [first] + list(x.inner_chain[:k])
-            tester = DependenceTester(
-                [LoopInfo.of(lp) for lp in common],
-                [LoopInfo.of(lp) for lp in x.inner_chain[k:]],
-                [LoopInfo.of(lp) for lp in y.inner_chain[k:]],
-            )
-            for directions in tester.feasible_directions(x.ref, y.ref):
-                if any(d != "=" for d in directions[:level]):
-                    continue
-                if directions[level] == ">":
-                    return True
-    return False
 
 
 def fuse(first: Loop, second: Loop, outer: Sequence[Loop] = ()) -> Loop:
@@ -125,14 +107,13 @@ def fuse(first: Loop, second: Loop, outer: Sequence[Loop] = ()) -> Loop:
             "shared across the loops)"
         )
     if second.var != first.var and first.var in (
-        _stmt_scalar_writes(second.body) | _stmt_scalar_reads(second.body)
+        scalar_writes(second.body) | scalar_reads(second.body)
     ):
         raise TransformError(
             f"cannot fuse: renaming {second.var!r} to {first.var!r} would "
             f"capture an existing use of {first.var!r} in the second body"
         )
-    renamed = _rename_induction(second.body, second.var, first.var)
-    return first.with_body(Block(first.body.stmts + renamed.stmts))
+    return _fused(first, second)
 
 
 def fuse_procedure(proc: Procedure, max_rounds: int = 4) -> Procedure:

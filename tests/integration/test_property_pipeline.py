@@ -8,14 +8,22 @@ results on them.  This is the widest net the suite casts.
 
 import hypothesis.strategies as st
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from repro.ir.builder import assign, block, ref
+from repro.ir.builder import assign, block, ref, serial
 from repro.ir.expr import BinOp, Const, Expr, Var
 from repro.ir.stmt import Block, Loop, LoopKind, Procedure
 from repro.ir.validate import validate
 from repro.runtime.equivalence import assert_equivalent
-from repro.transforms import block_recovered_loop, coalesce, coalesce_procedure, distribute_procedure, strip_mine
+from repro.transforms import (
+    block_recovered_loop,
+    coalesce,
+    coalesce_procedure,
+    distribute_procedure,
+    fuse,
+    fusion_preventing,
+    strip_mine,
+)
 from repro.transforms.normalize import normalize_procedure
 
 MAX_DEPTH = 3
@@ -152,3 +160,73 @@ def test_property_codegen_matches_interpreter(data, seed):
     compile_procedure(p).run(e2)
     for name in p.arrays:
         assert np.array_equal(e1[name], e2[name])
+
+
+FUSE_EXTENT = 12  # 1-based loop 3..n+2 (n ≤ 6) with offsets in [-2, 2]
+
+
+@st.composite
+def loop_pairs(draw) -> tuple[Loop, Loop]:
+    """Two adjacent conformable loops over shared arrays.
+
+    Bodies mix shifted 1-D accesses (so either dependence direction can
+    cross the loops), a private temporary ``t``, the parameter scalar
+    ``s`` read or accumulated, and an inner serial ``k`` loop over 2-D
+    arrays.
+    """
+    kind = draw(st.sampled_from([LoopKind.DOALL, LoopKind.SERIAL]))
+    upper = Const(draw(st.integers(1, 6)) + 2)
+
+    def body(var: str) -> Block:
+        def sub() -> Expr:
+            off = draw(st.integers(-2, 2))
+            return BinOp("+", Var(var), Const(off)) if off else Var(var)
+
+        def vec() -> str:
+            return draw(st.sampled_from("XYZ"))
+
+        stmts = []
+        for _ in range(draw(st.integers(1, 3))):
+            shape = draw(st.sampled_from(["array", "temp", "scalar", "inner"]))
+            if shape == "array":
+                stmts.append(
+                    assign(ref(vec(), sub()), BinOp("+", ref(vec(), sub()), Const(1)))
+                )
+            elif shape == "temp":
+                stmts.append(assign(Var("t"), ref(vec(), sub())))
+                stmts.append(assign(ref(vec(), sub()), BinOp("*", Var("t"), Const(2))))
+            elif shape == "scalar" and draw(st.booleans()):
+                stmts.append(assign(ref(vec(), sub()), Var("s")))
+            elif shape == "scalar":
+                stmts.append(assign(Var("s"), BinOp("+", Var("s"), ref(vec(), sub()))))
+            else:
+                k = Var("k")
+                shifted = BinOp("+", k, Const(1)) if draw(st.booleans()) else k
+                mat = draw(st.sampled_from("PQ"))
+                src = draw(st.sampled_from("PQ"))
+                stmts.append(
+                    serial("k", 1, 3)(
+                        assign(ref(mat, sub(), k), BinOp("+", ref(src, sub(), shifted), Const(1)))
+                    )
+                )
+        return Block(tuple(stmts))
+
+    second_var = draw(st.sampled_from(["i", "i2"]))
+    first = Loop("i", Const(3), upper, body("i"), Const(1), kind)
+    second = Loop(second_var, Const(3), upper, body(second_var), Const(1), kind)
+    return first, second
+
+
+@given(pair=loop_pairs(), seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_property_legal_fusion_preserves_results(pair, seed):
+    first, second = pair
+    assume(not fusion_preventing(first, second))
+    arrays = {"X": 1, "Y": 1, "Z": 1, "P": 2, "Q": 2}
+    sizes = {name: (FUSE_EXTENT,) for name in "XYZ"}
+    sizes |= {name: (FUSE_EXTENT, 5) for name in "PQ"}
+    sequence = Procedure("pair", Block((first, second)), arrays, ("s",))
+    fused = sequence.with_body(Block((fuse(first, second),)))
+    validate(sequence)
+    validate(fused)
+    assert_equivalent(sequence, fused, sizes, {"s": 1.5}, seed=seed)

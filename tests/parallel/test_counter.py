@@ -1,6 +1,7 @@
 """Tests for the shared fetch&add counter and the policy bridge."""
 
 import multiprocessing
+import threading
 
 import pytest
 
@@ -102,6 +103,34 @@ class TestSharedClaimCounter:
             sizes.append(c[1] - c[0] + 1)
         assert sizes == [8, 4, 2, 1, 1]
         assert sum(sizes) == 16
+
+    def test_gss_makes_fewer_claims_than_unit(self):
+        def claims(rule):
+            counter = SharedClaimCounter(1, 64, _ctx())
+            n = 0
+            while counter.claim(rule) is not None:
+                n += 1
+            return n
+
+        assert claims(("unit",)) == 64
+        assert claims(("gss", 4)) < claims(("fixed", 4)) < 64
+
+    def test_concurrent_claims_partition_range_exactly(self):
+        counter = SharedClaimCounter(1, 2000, _ctx())
+        claimed: list[int] = []
+        lock = threading.Lock()
+
+        def grab():
+            while (chunk := counter.claim(("fixed", 7))) is not None:
+                with lock:
+                    claimed.extend(range(chunk[0], chunk[1] + 1))
+
+        threads = [threading.Thread(target=grab) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(claimed) == list(range(1, 2001))
 
     def test_reset_rearms_a_drained_counter(self):
         counter = SharedClaimCounter(0, -1, _ctx())

@@ -1,36 +1,39 @@
 """Unit tests for loop distribution (fission)."""
 
 
+from repro.analysis.pdg import build_pdg
 from repro.frontend.dsl import parse
 from repro.ir import validate
 from repro.ir.builder import assign, c, doall, proc, ref, serial, v
 from repro.ir.visitor import collect_loops
 from repro.runtime.equivalence import assert_equivalent
 from repro.transforms.coalesce import coalesce_procedure
-from repro.transforms.distribute import (
-    distribute,
-    distribute_procedure,
-    statement_dependence_graph,
-)
+from repro.transforms.distribute import distribute, distribute_procedure
+from repro.transforms.fission import fission_loop
+from repro.workloads import get_workload
+
+
+def ordered_pairs(lp):
+    """(src, dst) statement pairs the PDG orders, self edges left out."""
+    return {(e.src, e.dst) for e in build_pdg(lp).edges if e.src != e.dst}
 
 
 class TestDependenceGraph:
+    """The statement graph distribution reads: :func:`build_pdg`."""
+
     def test_independent_statements_unordered(self):
         lp = doall("i", 1, 9)(
             assign(ref("A", v("i")), c(1.0)),
             assign(ref("B", v("i")), c(2.0)),
         )
-        g = statement_dependence_graph(lp)
-        assert g.number_of_edges() == 0
+        assert not build_pdg(lp).edges
 
     def test_same_iteration_flow_ordered(self):
         lp = doall("i", 1, 9)(
             assign(ref("A", v("i")), c(1.0)),
             assign(ref("B", v("i")), ref("A", v("i"))),
         )
-        g = statement_dependence_graph(lp)
-        assert g.has_edge(0, 1)
-        assert not g.has_edge(1, 0)
+        assert ordered_pairs(lp) == {(0, 1)}
 
     def test_cross_iteration_backward_creates_cycle(self):
         # S1 reads what S2 wrote in an earlier iteration AND S2 reads S1's
@@ -39,16 +42,14 @@ class TestDependenceGraph:
             assign(ref("A", v("i")), ref("B", v("i") - 1)),
             assign(ref("B", v("i")), ref("A", v("i"))),
         )
-        g = statement_dependence_graph(lp)
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert {(0, 1), (1, 0)} <= ordered_pairs(lp)
 
     def test_shared_scalar_fuses(self):
         lp = doall("i", 1, 9)(
             assign(v("t"), ref("A", v("i"))),
             assign(ref("B", v("i")), v("t")),
         )
-        g = statement_dependence_graph(lp)
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert {(0, 1), (1, 0)} <= ordered_pairs(lp)
 
 
 class TestDistribute:
@@ -178,3 +179,40 @@ class TestDistributeProcedure:
         out = distribute_procedure(p)
         validate(out)
         assert_equivalent(p, out, {"A": (10,), "B": (10,)})
+
+
+class TestTextualOrder:
+    """Independent pieces come out in textual order; only a dependence
+    reorders them (``PDG.sccs`` tie-break), in distribution and fission
+    alike."""
+
+    @staticmethod
+    def first_statements(pieces):
+        return [p.body.stmts[0] for p in pieces]
+
+    def test_mixed_update_keeps_textual_order(self):
+        loop = get_workload("mixed_update").proc.body.stmts[0]
+        stmts = list(loop.body.stmts)
+        assert self.first_statements(distribute(loop)) == stmts
+        pieces, outcome = fission_loop(loop)
+        assert self.first_statements(pieces) == stmts
+        assert [p.statements for p in outcome.pieces] == [(0,), (1,)]
+        assert [p.kind for p in outcome.pieces] == ["doall", "serial"]
+
+    def test_only_a_dependence_reorders(self):
+        # S1 feeds S0 across iterations (S0 reads B(i-1)), so S1's loop
+        # must run first; S2 is independent and stays after S0.
+        loop = serial("i", 2, 9)(
+            assign(ref("A", v("i")), ref("B", v("i") - 1)),
+            assign(ref("B", v("i")), ref("C", v("i"))),
+            assign(ref("D", v("i")), c(1.0)),
+        )
+        s0, s1, s2 = loop.body.stmts
+        assert self.first_statements(distribute(loop)) == [s1, s0, s2]
+        pieces, _ = fission_loop(loop)
+        assert self.first_statements(pieces) == [s1, s0, s2]
+        assert_equivalent(
+            proc("p", loop, arrays=dict.fromkeys("ABCD", 1)),
+            proc("p", *distribute(loop), arrays=dict.fromkeys("ABCD", 1)),
+            {k: (10,) for k in "ABCD"},
+        )
